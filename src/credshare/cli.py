@@ -73,6 +73,9 @@ def cmd_sweep(args) -> int:
     game = load_instance(args.instance)
     lo, hi = (args.range if args.range else (None, None))
     if args.sweep == "price":
+        if args.oracle:
+            raise ValidationError("a price sweep has no solves to check; "
+                                  "--oracle applies to --sweep capacity only")
         steps = args.steps if args.steps else 200
         text = price_sweep(game, lo, hi, steps)
     else:
@@ -152,14 +155,15 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--output", help="write output to this path")
-        p.add_argument("--format", default="csv", choices=("csv",),
-                       help="tabular output format (csv only)")
+
+    def with_oracle(p):
+        common(p)
         p.add_argument("--oracle", action="store_true",
                        help="cross-check solves against the grid oracle")
 
     p_solve = sub.add_parser("solve", help="price one instance")
     p_solve.add_argument("instance", help="instance JSON file")
-    common(p_solve)
+    with_oracle(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="demand vs price, or allocation vs capacity")
@@ -167,7 +171,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--sweep", choices=("price", "capacity"), default="price")
     p_sweep.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"))
     p_sweep.add_argument("--steps", type=int)
-    common(p_sweep)
+    with_oracle(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_bargain = sub.add_parser("bargain", help="run the iterative pricing scheme")
@@ -178,18 +182,19 @@ def build_parser() -> _Parser:
     p_bargain.add_argument("--max-rounds", type=int, default=100_000)
     p_bargain.add_argument("--max-refinements", type=int, default=6)
     p_bargain.add_argument("--seed", type=int, default=0,
-                           help="delivery-order seed for the message transport")
+                           help="delivery-order seed of logged messages; "
+                                "the printed trace does not depend on it")
     common(p_bargain)
     p_bargain.set_defaults(func=cmd_bargain)
 
     p_sim = sub.add_parser("simulate", help="run a churn scenario")
     p_sim.add_argument("scenario", help="scenario JSON file")
-    common(p_sim)
+    with_oracle(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ex = sub.add_parser("example", help="reproduce a built-in experiment")
     p_ex.add_argument("name", choices=EXAMPLE_NAMES)
-    common(p_ex)
+    with_oracle(p_ex)
     p_ex.set_defaults(func=cmd_example)
 
     return parser

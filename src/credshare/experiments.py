@@ -15,35 +15,19 @@ as golden files:
   (peer4 at 40, peer3 at 60, peer2 at 80); the mirror image of example4.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ValidationError
 from .formatting import csv_text
-from .model import GameInstance, PeerProfile, best_response, build_demand_curve
+from .model import GameInstance, PeerProfile, best_response
 from .oracle import GridSpec, grid_search_price, revenue_agreement
-from .simulator import EventKind, ScenarioEvent, run_scenario
+from .simulator import EventKind, ScenarioEvent, ledger_csv, run_scenario
 from .solver import solve
 
 EXAMPLE_NAMES = ("example1", "example2", "example3", "example4", "example5")
 
 PRICE_SWEEP_STEPS = 200
 CAPACITY_SWEEP_STEPS = 120
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named built-in (or custom file) run with optional overrides."""
-
-    name: str
-    overrides: Dict[str, float] = field(default_factory=dict)
-    output: Optional[str] = None
-
-    def __post_init__(self):
-        if self.name not in EXAMPLE_NAMES and self.name != "custom":
-            raise ValidationError(
-                f"unknown experiment {self.name!r}; pick one of {EXAMPLE_NAMES}"
-            )
 
 
 def _peers(creds, caps):
@@ -82,11 +66,14 @@ def example_scenario(name: str) -> Tuple[float, Tuple[ScenarioEvent, ...]]:
 
 
 def default_price_window(game: GameInstance) -> Tuple[float, float]:
-    """Half the lowest breakpoint up to 1.1x the highest."""
-    curve = build_demand_curve(game)
-    if not curve.breakpoints:
+    """Half the lowest demand breakpoint (the smallest saturation price of a
+    credited peer) up to 1.1x the highest (the largest cutoff price)."""
+    credited = [p for p in game.peers if p.credits > 0]
+    if not credited:
         raise ValidationError("no credited peers; the demand curve is empty")
-    return 0.5 * curve.breakpoints[0], 1.1 * curve.breakpoints[-1]
+    lowest = min(p.saturation_price for p in credited)
+    highest = max(p.cutoff_price for p in credited)
+    return 0.5 * lowest, 1.1 * highest
 
 
 def price_sweep(game: GameInstance, lo: Optional[float] = None,
@@ -148,6 +135,8 @@ def capacity_sweep(game: GameInstance, lo: float = 0.0,
 def run_example(name: str, oracle: bool = False) -> List[Tuple[str, str]]:
     """Produce the named experiment's CSV artifacts as (filename, text)."""
     if name in ("example1", "example2"):
+        if oracle:
+            raise ValidationError(f"{name} is a price sweep; it has no solves to check")
         return [(f"{name}_price_sweep.csv", price_sweep(example_game(name)))]
     if name == "example3":
         game = example_game(name)
@@ -156,8 +145,6 @@ def run_example(name: str, oracle: bool = False) -> List[Tuple[str, str]]:
     if name in ("example4", "example5"):
         capacity, events = example_scenario(name)
         timeline, ledger = run_scenario(capacity, events)
-        from .simulator import ledger_csv
-
         return [
             (f"{name}_timeline.csv", timeline.to_csv(oracle_check=oracle)),
             (f"{name}_ledger.csv", ledger_csv(ledger)),

@@ -23,6 +23,9 @@ from .errors import ValidationError
 
 LN2 = math.log(2.0)
 
+# account and actor name of the uploader; no downloader may take it
+UPLOADER_ID = "uploader"
+
 # per-peer branch codes inside a demand segment
 SAT = 0   # price at or below saturation threshold: demands full capacity
 ACT = 1   # price between thresholds: demands c/(mu ln2) - d
@@ -243,8 +246,6 @@ class DemandCurve:
             elif code == ACT:
                 raw = peer.credits / (price * LN2) - peer.capacity
                 total += min(peer.capacity, max(0.0, raw))
-            else:
-                total += 0.0
         return total
 
     def demand_at(self, price: float) -> float:

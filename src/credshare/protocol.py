@@ -18,7 +18,10 @@ deterministic in-process transport:
 Both runs emit an auditable trace: every broadcast price with the per-peer
 demands it drew, refinement events, and the terminal equilibrium. Delivery
 order of concurrent messages is shuffled by a seed and must not affect the
-outcome; the uploader proceeds only after a full round of replies.
+outcome; the uploader proceeds only after a full round of replies. The
+direct scheme always logs its messages. Bargaining computes each round's
+demands directly from the best responses and builds its PRICE, DEMAND and
+STREAM_START messages (and shuffles them) only when log_messages is on.
 """
 
 import random
@@ -27,17 +30,9 @@ from enum import Enum
 from typing import Callable, List, Mapping, Optional, Tuple
 
 from .errors import ConvergenceError, ProtocolAbort, ValidationError
-from .model import (
-    Allocation,
-    Equilibrium,
-    GameInstance,
-    PeerProfile,
-    best_response,
-    downloader_utility,
-)
-from .solver import classify_region, solve
-
-UPLOADER_ID = "uploader"
+from .model import UPLOADER_ID, Equilibrium, GameInstance, PeerProfile, best_response
+# classify_region is not called here: perfbench/tracing.py wraps it as an attribute
+from .solver import classify_region, equilibrium_at, solve  # noqa: F401
 
 
 class MessageKind(Enum):
@@ -151,8 +146,6 @@ class DownloaderActor(_Actor):
         super().__init__(profile.id)
         self.profile = profile
         self.misreport = misreport
-        self.granted = None
-        self.streaming = False
 
     def request(self, uploader: str) -> Message:
         return self._send(MessageKind.REQUEST, uploader,
@@ -166,45 +159,56 @@ class DownloaderActor(_Actor):
         return self._send(MessageKind.DEMAND, msg.sender, bandwidth=demand,
                           price=msg.price, round_index=msg.round_index)
 
-    def on_grant(self, msg: Message):
-        self.granted = msg.bandwidth
-
-    def on_stream_start(self, msg: Message):
-        self.streaming = True
-
 
 class _Transport:
-    """Collects one round of messages and delivers them in seeded order."""
+    """Delivers one round of messages in seeded order and logs them."""
 
-    def __init__(self, seed: int, log: Optional[List[Message]]):
+    def __init__(self, seed: int, log: List[Message]):
         self._rng = random.Random(seed)
         self._log = log
 
     def deliver(self, batch):
         batch = list(batch)
         self._rng.shuffle(batch)
-        if self._log is not None:
-            self._log.extend(batch)
+        self._log.extend(batch)
         return batch
+
+
+class _BargainLog:
+    """The messages of a logged bargaining run, in seeded delivery order.
+
+    Each reply carries the demand the walk already computed for its sender,
+    so logging changes nothing but trace.messages.
+    """
+
+    def __init__(self, game: GameInstance, seed: int, log: List[Message]):
+        self._transport = _Transport(seed, log)
+        self._uploader = _Actor(UPLOADER_ID)
+        self._downloaders = {p.id: _Actor(p.id) for p in game.peers}
+
+    def round(self, price: float, round_index: int, demands: Mapping[str, float]):
+        price_msgs = self._transport.deliver(
+            self._uploader._send(MessageKind.PRICE, pid, price=price,
+                                 round_index=round_index)
+            for pid in self._downloaders
+        )
+        self._transport.deliver(
+            self._downloaders[m.receiver]._send(
+                MessageKind.DEMAND, UPLOADER_ID, bandwidth=demands[m.receiver],
+                price=price, round_index=round_index)
+            for m in price_msgs
+        )
+
+    def stream_start(self):
+        self._transport.deliver(
+            self._uploader._send(MessageKind.STREAM_START, pid)
+            for pid in self._downloaders
+        )
 
 
 def _check_ids(game: GameInstance):
     if any(p.id == UPLOADER_ID for p in game.peers):
         raise ValidationError(f"peer id {UPLOADER_ID!r} is reserved for the uploader")
-
-
-def _terminal_equilibrium(game: GameInstance, price: float,
-                          demands: Mapping[str, float], total: float) -> Equilibrium:
-    utilities = {
-        p.id: downloader_utility(p, demands[p.id], price) for p in game.peers
-    }
-    return Equilibrium(
-        price=price,
-        allocation=Allocation(dict(demands)),
-        revenue=price * total,
-        utilities=utilities,
-        region=classify_region(game, price),
-    )
 
 
 def run_direct(game: GameInstance, seed: int = 0,
@@ -229,9 +233,11 @@ def run_direct(game: GameInstance, seed: int = 0,
         m.sender: PeerProfile(m.sender, m.credits, m.capacity) for m in requests
     }
 
-    # stage 2: the uploader sorts by priority ratio and prices the round
+    # stage 2: the uploader prices the round from the reported profiles,
+    # keyed in game order like solve(); the trace lists them by priority
+    eq = solve(GameInstance(game.uploader_capacity,
+                            [profiles[p.id] for p in game.peers]))
     roster = sorted(profiles.values(), key=lambda p: (-p.ratio, p.id))
-    eq = solve(GameInstance(game.uploader_capacity, roster))
     price_msgs = transport.deliver(
         uploader._send(MessageKind.PRICE, pid, price=eq.price, round_index=1)
         for pid in downloaders
@@ -263,16 +269,13 @@ def run_direct(game: GameInstance, seed: int = 0,
         raise ProtocolAbort(diag, trace)
 
     # stage 4: grants, then streaming
-    grants = transport.deliver(
+    transport.deliver(
         uploader._send(MessageKind.GRANT, pid, bandwidth=demands[pid])
         for pid in downloaders
     )
-    for m in grants:
-        downloaders[m.receiver].on_grant(m)
-    for m in transport.deliver(
+    transport.deliver(
         uploader._send(MessageKind.STREAM_START, pid) for pid in downloaders
-    ):
-        downloaders[m.receiver].on_stream_start(m)
+    )
 
     trace.equilibrium = eq
     return eq, trace
@@ -304,9 +307,7 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     u_k = game.uploader_capacity
 
     trace = ProtocolTrace(protocol="bargaining", config=cfg)
-    transport = _Transport(seed, trace.messages if cfg.log_messages else None)
-    downloaders = {p.id: DownloaderActor(p) for p in game.peers}
-    uploader = _Actor(UPLOADER_ID)
+    log = _BargainLog(game, seed, trace.messages) if cfg.log_messages else None
     roster = game.sorted_by_priority()
 
     price = mu0
@@ -315,19 +316,14 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     prev_price = None  # last under-capacity price, the refinement anchor
 
     for round_index in range(1, cfg.max_rounds + 1):
-        price_msgs = transport.deliver(
-            uploader._send(MessageKind.PRICE, pid, price=price,
-                           round_index=round_index)
-            for pid in downloaders
-        )
-        replies = transport.deliver(
-            downloaders[m.receiver].on_price(m) for m in price_msgs
-        )
-        by_sender = {m.sender: m.bandwidth for m in replies}
-        demands = {p.id: by_sender[p.id] for p in roster}
+        demands = {}
         total = 0.0
         for p in roster:
-            total += demands[p.id]
+            x = best_response(p, price)
+            demands[p.id] = x
+            total += x
+        if log is not None:
+            log.round(price, round_index, demands)
 
         in_band = abs(total - u_k) < cfg.tolerance
         crossed = total >= u_k
@@ -335,12 +331,10 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
 
         if in_band and (crossed or saturated_all or round_index == 1):
             trace.rounds.append(TraceRound(round_index, price, demands, total, True))
-            eq = _terminal_equilibrium(game, price, demands, total)
+            eq = equilibrium_at(game, price)
             trace.equilibrium = eq
-            for m in transport.deliver(
-                uploader._send(MessageKind.STREAM_START, pid) for pid in downloaders
-            ):
-                downloaders[m.receiver].on_stream_start(m)
+            if log is not None:
+                log.stream_start()
             return eq, trace
 
         if crossed:

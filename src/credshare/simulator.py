@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .model import Equilibrium, GameInstance, PeerProfile
+from .model import UPLOADER_ID, Equilibrium, GameInstance, PeerProfile
 from .solver import solve
 
 INFINITY = float("inf")
@@ -62,15 +62,14 @@ class LedgerEntry:
 
 @dataclass
 class Ledger:
-    """Credit balances (uploader included) plus the transaction log."""
+    """Credit balances (the uploader's under UPLOADER_ID) plus the transaction log."""
 
-    uploader_id: str = "uploader"
     balances: Dict[str, float] = field(default_factory=dict)
     log: List[LedgerEntry] = field(default_factory=list)
     exhausted: set = field(default_factory=set)
 
     def __post_init__(self):
-        self.balances.setdefault(self.uploader_id, 0.0)
+        self.balances.setdefault(UPLOADER_ID, 0.0)
 
     def register(self, peer_id: str, credits: float):
         # first appearance endows the account; a rejoining peer keeps its
@@ -90,8 +89,7 @@ class Ledger:
         self.log.append(LedgerEntry(time, payer, payee, amount))
 
 
-def apply_transaction(ledger: Ledger, eq: Equilibrium, uploader_id: str,
-                      time: float) -> Ledger:
+def apply_transaction(ledger: Ledger, eq: Equilibrium, time: float) -> Ledger:
     """Charge each allocated downloader price * bandwidth to the uploader.
 
     A payer short of the full charge pays out its remaining balance and is
@@ -107,7 +105,7 @@ def apply_transaction(ledger: Ledger, eq: Equilibrium, uploader_id: str,
             ledger.exhausted.add(peer_id)
             if amount == 0.0:
                 continue
-        ledger.transfer(time, peer_id, uploader_id, amount)
+        ledger.transfer(time, peer_id, UPLOADER_ID, amount)
     return ledger
 
 
@@ -192,7 +190,7 @@ def ledger_csv(ledger: Ledger) -> str:
     return csv_text(("record", "time", "payer", "payee", "amount"), rows)
 
 
-def validate_scenario(events: Sequence[ScenarioEvent], uploader_id: str):
+def validate_scenario(events: Sequence[ScenarioEvent]):
     """Reject unordered events and membership errors before execution."""
     last_time = 0.0
     present = set()
@@ -204,7 +202,7 @@ def validate_scenario(events: Sequence[ScenarioEvent], uploader_id: str):
         last_time = ev.time
         if ev.kind is EventKind.JOIN:
             pid = ev.peer.id
-            if pid == uploader_id:
+            if pid == UPLOADER_ID:
                 raise ValidationError(f"peer id {pid!r} collides with the uploader")
             if pid in present:
                 raise ValidationError(f"join of already-present peer {pid!r}")
@@ -215,8 +213,8 @@ def validate_scenario(events: Sequence[ScenarioEvent], uploader_id: str):
             present.remove(ev.peer_id)
 
 
-def run_scenario(uploader_capacity: float, events: Sequence[ScenarioEvent],
-                 uploader_id: str = "uploader") -> Tuple[TimelineRecord, Ledger]:
+def run_scenario(uploader_capacity: float,
+                 events: Sequence[ScenarioEvent]) -> Tuple[TimelineRecord, Ledger]:
     """Drive the event loop; return the epoch timeline and the ledger.
 
     The timeline starts at the first event; each join/leave closes the open
@@ -228,9 +226,9 @@ def run_scenario(uploader_capacity: float, events: Sequence[ScenarioEvent],
     if uploader_capacity <= 0:
         raise ValidationError("uploader_capacity must be > 0")
     events = list(events)
-    validate_scenario(events, uploader_id)
+    validate_scenario(events)
 
-    ledger = Ledger(uploader_id=uploader_id)
+    ledger = Ledger()
     epochs: List[Epoch] = []
     present: Dict[str, PeerProfile] = {}
     open_start: Optional[float] = None
@@ -259,7 +257,7 @@ def run_scenario(uploader_capacity: float, events: Sequence[ScenarioEvent],
     for ev in events:
         if ev.kind is EventKind.SETTLE:
             if open_eq is not None:
-                apply_transaction(ledger, open_eq, uploader_id, ev.time)
+                apply_transaction(ledger, open_eq, ev.time)
             continue
         close_epoch(ev.time)
         if ev.kind is EventKind.JOIN:

@@ -47,6 +47,7 @@ __all__ = [
     "RegionLabel",
     "solve",
     "classify_region",
+    "equilibrium_at",
     "two_peer_price",
     "balance_region_price",
     "ordered_threshold_price",
@@ -57,16 +58,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numeric policy for solve(). The tie-break policy is fixed."""
+    """Numeric policy for solve(). Ties go to the highest clearing price."""
 
     residual_tolerance: float = 1e-9   # relative, on |D(mu*) - u_k|
-    tie_break: str = "highest price"
 
     def __post_init__(self):
         if self.residual_tolerance <= 0:
             raise ValidationError("residual_tolerance must be > 0")
-        if self.tie_break != "highest price":
-            raise ValidationError("tie_break policy is fixed to 'highest price'")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -76,6 +74,22 @@ def _credited(peers):
     return [p for p in peers if p.credits > 0]
 
 
+def _region(game: GameInstance, responses) -> RegionLabel:
+    """Capacity regime from every peer's response, given in game order."""
+    credited = [(p, x) for p, x in zip(game.peers, responses) if p.credits > 0]
+    if not credited:
+        return RegionLabel.INSUFFICIENT
+    # summed in game order: another order can move the last bit of the total
+    if (all(x == p.capacity for p, x in credited)
+            and sum(responses) <= game.uploader_capacity):
+        return RegionLabel.SATURATED
+    if any(x == 0.0 for x in responses):
+        return RegionLabel.INSUFFICIENT
+    if any(x == p.capacity for p, x in zip(game.peers, responses)):
+        return RegionLabel.SUFFICIENT
+    return RegionLabel.BALANCE
+
+
 def classify_region(game: GameInstance, price: float) -> RegionLabel:
     """Label the capacity regime at a price, from the game alone.
 
@@ -83,39 +97,32 @@ def classify_region(game: GameInstance, price: float) -> RegionLabel:
     it. Insufficient: someone (including free riders) is priced out.
     Sufficient: someone is at capacity. Balance: everyone strictly interior.
     """
-    credited = _credited(game.peers)
-    if not credited:
-        return RegionLabel.INSUFFICIENT
-    responses = [(p, best_response(p, price)) for p in game.peers]
-    credited_saturated = all(
-        x == p.capacity for p, x in responses if p.credits > 0
-    )
-    total = sum(x for _, x in responses)
-    if credited_saturated and total <= game.uploader_capacity:
-        return RegionLabel.SATURATED
-    if any(x == 0.0 for _, x in responses):
-        return RegionLabel.INSUFFICIENT
-    if any(x == p.capacity for p, x in responses):
-        return RegionLabel.SUFFICIENT
-    return RegionLabel.BALANCE
+    return _region(game, [best_response(p, price) for p in game.peers])
 
 
-def _assemble(game: GameInstance, canonical: GameInstance, price: float,
-              region: Optional[RegionLabel] = None) -> Equilibrium:
-    # revenue is summed in canonical order so it is permutation invariant
+def equilibrium_at(game: GameInstance, price: float,
+                   region: Optional[RegionLabel] = None) -> Equilibrium:
+    """The equilibrium the posted price induces: every peer best-responds.
+
+    Each peer's response is computed once. The allocation and utilities are
+    keyed in game order; the revenue is summed in priority order, so it does
+    not depend on the order the peers are listed in. `region` overrides the
+    label classify_region would give.
+    """
+    responses = [best_response(p, price) for p in game.peers]
+    amounts = {p.id: x for p, x in zip(game.peers, responses)}
     total = 0.0
-    for p in canonical.peers:
-        total += best_response(p, price)
-    amounts = {p.id: best_response(p, price) for p in game.peers}
-    utilities = {
-        p.id: downloader_utility(p, amounts[p.id], price) for p in game.peers
-    }
+    for p in game.sorted_by_priority():
+        total += amounts[p.id]
     return Equilibrium(
         price=price,
         allocation=Allocation(amounts),
         revenue=price * total,
-        utilities=utilities,
-        region=region if region is not None else classify_region(game, price),
+        utilities={
+            p.id: downloader_utility(p, x, price)
+            for p, x in zip(game.peers, responses)
+        },
+        region=region if region is not None else _region(game, responses),
     )
 
 
@@ -133,12 +140,14 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     credited = _credited(canonical.peers)
 
     if not credited:
-        return _assemble(game, canonical, 1.0, RegionLabel.INSUFFICIENT)
+        return equilibrium_at(game, 1.0)
 
     credited_capacity = sum(p.capacity for p in credited)
     if credited_capacity <= u_k:
         price = min(p.saturation_price for p in credited)
-        return _assemble(game, canonical, price, RegionLabel.SATURATED)
+        # labelled here: summed in game order, the capacities could exceed
+        # u_k by a rounding step and lose the saturated label
+        return equilibrium_at(game, price, RegionLabel.SATURATED)
 
     curve = build_demand_curve(canonical)
     breakpoints = curve.breakpoints
@@ -186,7 +195,7 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
         raise RuntimeError(
             f"solver residual {residual} exceeds tolerance at price {price}"
         )
-    return _assemble(game, canonical, price)
+    return equilibrium_at(game, price)
 
 
 def two_peer_price(p1: PeerProfile, p2: PeerProfile, uploader_capacity: float) -> float:

@@ -103,6 +103,13 @@ def test_price_sweep_inverse_capacity_order_in_interior(tmp_path, capsys):
     assert seen_interior > 10
 
 
+def test_price_sweeps_reject_oracle_flag(instance_file, capsys):
+    assert main(["sweep", instance_file, "--sweep", "price", "--oracle"]) == 1
+    assert "--oracle" in capsys.readouterr().err
+    assert main(["example", "example1", "--oracle"]) == 1
+    assert "no solves to check" in capsys.readouterr().err
+
+
 def test_capacity_sweep_entering_order_and_saturation(tmp_path, capsys):
     path = tmp_path / "example3.json"
     game = example_game("example3")
@@ -162,6 +169,11 @@ def test_bargain_huge_epsilon_emits_one_round(instance_file, capsys):
     data_rows = [r for r in rows if r[0] != "summary"]
     assert len(data_rows) == 4  # one round, one row per peer
     assert all(r[0] == "1" for r in data_rows)
+
+
+def test_bargain_rejects_oracle_flag(instance_file, capsys):
+    assert main(["bargain", instance_file, "--oracle"]) == 1
+    assert "--oracle" in capsys.readouterr().err
 
 
 def test_bargain_convergence_failure_exits_2(instance_file, capsys):

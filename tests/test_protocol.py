@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from credshare import (
     BargainConfig,
     ConvergenceError,
+    GameInstance,
     LN2,
     MessageKind,
     ProtocolAbort,
@@ -239,3 +241,44 @@ def test_bargaining_unreachable_capacity_errors():
     game = make_game(3.5, [(400, 2), (50, 1)])
     with pytest.raises(ConvergenceError):
         run_bargaining(game, BargainConfig(step=0.05, tolerance=1e-3))
+
+
+def test_equilibria_keep_the_game_order_of_peers(example4_game):
+    by_id = {p.id: p for p in example4_game.peers}
+    order = ["peer4", "peer1", "peer3", "peer2"]
+    game = GameInstance(2.0, [by_id[pid] for pid in order])
+    for eq in (solve(game), run_direct(game)[0], run_bargaining(game)[0]):
+        assert list(eq.allocation) == order
+        assert list(eq.utilities) == order
+
+
+def test_message_logging_changes_only_the_message_log():
+    rng = random.Random(211)
+    reordered = False
+    for _ in range(60):
+        game = random_oversubscribed(rng)
+        top = max(p.cutoff_price for p in game.peers)
+        bottom = min(p.saturation_price for p in game.peers)
+        knobs = dict(step=(top - 0.5 * bottom) / 100.0,
+                     tolerance=max(1e-4 * game.uploader_capacity, 1e-9),
+                     max_refinements=14)
+        logs = []
+        for seed in (0, 1, 2):
+            lean_eq, lean = run_bargaining(game, BargainConfig(**knobs), seed=seed)
+            eq, trace = run_bargaining(
+                game, BargainConfig(log_messages=True, **knobs), seed=seed)
+            assert not lean.messages and trace.messages
+            assert eq == lean_eq
+            assert trace.to_csv() == lean.to_csv()
+            assert trace.rounds == lean.rounds
+            assert trace.refinements == lean.refinements
+            assert trace.diagnostics == lean.diagnostics
+            assert replay(lean, game) and replay(trace, game)
+            by_round = {r.index: r.demands for r in trace.rounds}
+            assert all(m.bandwidth == by_round[m.round_index][m.sender]
+                       for m in trace.messages if m.kind is MessageKind.DEMAND)
+            logs.append(trace.messages)
+        # the seed reorders deliveries but never changes what is sent
+        assert Counter(logs[0]) == Counter(logs[1]) == Counter(logs[2])
+        reordered = reordered or logs[0] != logs[1]
+    assert reordered

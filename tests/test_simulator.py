@@ -124,7 +124,7 @@ def test_settlement_of_four_peer_equilibrium(example4_game):
     for p in example4_game.peers:
         ledger.register(p.id, p.credits)
     total_before = ledger.total()
-    apply_transaction(ledger, eq, "uploader", 90.0)
+    apply_transaction(ledger, eq, 90.0)
     debits = {
         "peer1": 164.88, "peer2": 123.66, "peer3": 82.44, "peer4": 41.22,
     }
@@ -143,7 +143,7 @@ def test_zero_allocation_peer_not_charged():
     ledger = Ledger()
     ledger.register("peer1", 400.0)
     ledger.register("peer2", 0.0)
-    apply_transaction(ledger, eq, "uploader", 1.0)
+    apply_transaction(ledger, eq, 1.0)
     assert ledger.balance("peer2") == 0.0
     assert all(e.payer != "peer2" for e in ledger.log)
 

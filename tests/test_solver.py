@@ -125,8 +125,6 @@ def test_full_allocation_when_oversubscribed():
 def test_solver_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(residual_tolerance=0.0)
-    with pytest.raises(ValidationError):
-        SolverConfig(tie_break="lowest price")
 
 
 # --- two-peer closed form ----------------------------------------------------
