@@ -12,7 +12,9 @@ import sys
 
 from .errors import ConvergenceError, ProtocolAbort, ValidationError
 from .experiments import (
+    CAPACITY_SWEEP_STEPS,
     EXAMPLE_NAMES,
+    PRICE_SWEEP_STEPS,
     capacity_sweep,
     price_sweep,
     run_example,
@@ -76,10 +78,10 @@ def cmd_sweep(args) -> int:
         if args.oracle:
             raise ValidationError("a price sweep has no solves to check; "
                                   "--oracle applies to --sweep capacity only")
-        steps = args.steps if args.steps else 200
+        steps = args.steps if args.steps is not None else PRICE_SWEEP_STEPS
         text = price_sweep(game, lo, hi, steps)
     else:
-        steps = args.steps if args.steps else 120
+        steps = args.steps if args.steps is not None else CAPACITY_SWEEP_STEPS
         text = capacity_sweep(game, lo if lo is not None else 0.0, hi,
                               steps, oracle=args.oracle)
     _write(text, args.output)

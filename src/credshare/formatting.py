@@ -5,30 +5,26 @@ identical across runs and platforms: 6 significant digits, round half even
 (CPython's correctly rounded float formatting), LF newlines.
 """
 
-import math
-
 SIG_DIGITS = 6
 
 
 def format_sig(value, digits=SIG_DIGITS):
     """Render a number with a fixed count of significant digits."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    if value == 0.0:
-        return "0"  # normalizes -0.0
-    return "{:.{p}g}".format(float(value), p=digits)
+    if type(value) is not float:
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return str(value)
+    # "%g" takes any number through __float__ and renders inf, -inf and nan;
+    # only the sign of -0.0 needs normalizing
+    return "%.*g" % (digits, value) if value else "0"
 
 
 def csv_line(fields):
-    return ",".join(format_sig(f) if not isinstance(f, str) else f for f in fields)
+    """Join fields with commas; str fields pass through unformatted."""
+    return ",".join([f if isinstance(f, str) else format_sig(f) for f in fields])
 
 
 def csv_text(header, rows):

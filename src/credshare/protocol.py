@@ -24,6 +24,7 @@ demands directly from the best responses and builds its PRICE, DEMAND and
 STREAM_START messages (and shuffles them) only when log_messages is on.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -115,15 +116,16 @@ class ProtocolTrace:
         return [r for r in self.rounds if r.accepted]
 
     def to_csv(self):
-        from .formatting import csv_text
+        from .formatting import csv_text, format_sig
 
         rows = []
         for r in self.rounds:
+            # formatted once per round, not once per peer
+            index, price, total = str(r.index), format_sig(r.price), format_sig(r.total)
             for peer_id, demand in r.demands.items():
-                rows.append((r.index, r.price, peer_id, demand, r.total))
+                rows.append((index, price, peer_id, demand, total))
         if self.rounds:
-            last = self.rounds[-1]
-            rows.append(("summary", last.price, "", "", last.total))
+            rows.append(("summary", price, "", "", total))
         return csv_text(("round", "price", "peer_id", "demand", "total_demand"), rows)
 
 
@@ -281,6 +283,52 @@ def run_direct(game: GameInstance, seed: int = 0,
     return eq, trace
 
 
+def _round_demands(roster, price):
+    """One round's demands and their total, summed in roster order."""
+    demands = {}
+    total = 0.0
+    for p in roster:
+        x = best_response(p, price)
+        demands[p.id] = x
+        total += x
+    return demands, total
+
+
+def _refusal(game: GameInstance, cfg: BargainConfig, roster, mu0: float,
+             min_saturation: float) -> Optional[str]:
+    """The diagnostic for a walk that cannot end within cfg.max_rounds, or None.
+
+    `floor` lies at or below every price the first max_rounds rounds reach,
+    and the one after them. Float demand does not rise with the price, so
+    if the round sum at `floor` is still below capacity, `floor` is above
+    the smallest saturation price, and round 1 is not accepted, no round
+    can accept, overshoot, saturate or reach zero before max_rounds runs
+    out: the walk would end in the max_rounds error.
+    """
+    u_k = game.uploader_capacity
+    # a round lowers the price by at most step plus half an ulp of mu0; the
+    # spare ulps cover the rounding of floor itself
+    stride = cfg.step + 2.0 * math.ulp(mu0)
+    floor = mu0 - cfg.max_rounds * stride
+    if not floor > min_saturation:  # also when floor is nan
+        return None
+    if _round_demands(roster, floor)[1] >= u_k:
+        return None
+    if abs(_round_demands(roster, mu0)[1] - u_k) < cfg.tolerance:
+        return None  # round 1 is accepted
+    # no round stops above a price whose round sum is below capacity, so the
+    # walk needs at least as many rounds as reaching it takes
+    lowest = solve(game).price + cfg.step
+    if not (min_saturation < lowest < floor
+            and _round_demands(roster, lowest)[1] < u_k):
+        lowest = floor
+    needed = max(int((mu0 - lowest) / stride), cfg.max_rounds + 1)
+    return (f"no convergence within max_rounds={cfg.max_rounds}: demand stays "
+            f"below capacity {u_k} down to price {lowest}, so the walk from "
+            f"{mu0} by step {cfg.step} needs at least {needed} rounds; "
+            f"refused before the first round")
+
+
 def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
                    seed: int = 0) -> Tuple[Equilibrium, ProtocolTrace]:
     """Iterative scheme: walk the price down until demand meets capacity.
@@ -291,6 +339,8 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     with a tenth of the step. Demand below the band is accepted only when
     it can no longer rise (every credited peer already at capacity) or on
     the very first round (capacity already within tolerance of zero demand).
+    A session that provably cannot end within max_rounds raises
+    ConvergenceError before its first round, with a trace of no rounds.
     """
     _check_ids(game)
     cfg = config or BargainConfig()
@@ -307,8 +357,12 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     u_k = game.uploader_capacity
 
     trace = ProtocolTrace(protocol="bargaining", config=cfg)
-    log = _BargainLog(game, seed, trace.messages) if cfg.log_messages else None
     roster = game.sorted_by_priority()
+    diag = _refusal(game, cfg, roster, mu0, min_saturation)
+    if diag is not None:
+        trace.diagnostics.append(diag)
+        raise ConvergenceError(diag, trace)
+    log = _BargainLog(game, seed, trace.messages) if cfg.log_messages else None
 
     price = mu0
     step = cfg.step
@@ -316,12 +370,7 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     prev_price = None  # last under-capacity price, the refinement anchor
 
     for round_index in range(1, cfg.max_rounds + 1):
-        demands = {}
-        total = 0.0
-        for p in roster:
-            x = best_response(p, price)
-            demands[p.id] = x
-            total += x
+        demands, total = _round_demands(roster, price)
         if log is not None:
             log.round(price, round_index, demands)
 

@@ -147,10 +147,11 @@ class TimelineRecord:
         With oracle_check, each row gains an agreement flag comparing the
         epoch's price against an independent grid search on its instance.
         """
-        from .formatting import csv_text
+        from .formatting import csv_text, format_sig
 
         rows = []
         for ep in self.epochs:
+            start, end = format_sig(ep.start), format_sig(ep.end)
             agree = ""
             if oracle_check and ep.equilibrium is not None and ep.game is not None:
                 from .oracle import GridSpec, grid_search_price, revenue_agreement
@@ -161,14 +162,15 @@ class TimelineRecord:
                                           oracle_revenue, spec)
                 agree = "yes" if close else "no"
             if ep.equilibrium is None:
-                row = [ep.start, ep.end, "", "", "", ""]
+                row = [start, end, "", "", "", ""]
                 if oracle_check:
                     row.append("")
                 rows.append(tuple(row))
                 continue
             eq = ep.equilibrium
+            price = format_sig(eq.price)
             for peer_id in sorted(ep.peer_ids):
-                row = [ep.start, ep.end, eq.price, peer_id,
+                row = [start, end, price, peer_id,
                        eq.allocation[peer_id], eq.utilities[peer_id]]
                 if oracle_check:
                     row.append(agree)

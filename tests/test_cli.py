@@ -110,6 +110,12 @@ def test_price_sweeps_reject_oracle_flag(instance_file, capsys):
     assert "no solves to check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", ["price", "capacity"])
+def test_sweep_rejects_zero_steps(instance_file, sweep, capsys):
+    assert main(["sweep", instance_file, "--sweep", sweep, "--steps", "0"]) == 1
+    assert "steps must be >= 1" in capsys.readouterr().err
+
+
 def test_capacity_sweep_entering_order_and_saturation(tmp_path, capsys):
     path = tmp_path / "example3.json"
     game = example_game("example3")
@@ -179,9 +185,10 @@ def test_bargain_rejects_oracle_flag(instance_file, capsys):
 def test_bargain_convergence_failure_exits_2(instance_file, capsys):
     assert main(["bargain", instance_file, "--max-rounds", "3"]) == 2
     captured = capsys.readouterr()
-    assert "max_rounds" in captured.err
-    # the partial trace is still emitted for post-mortem
-    assert captured.out.startswith("round,price")
+    assert "max_rounds=3" in captured.err
+    # refused before the first round: the trace is the header alone
+    assert captured.out == "round,price,peer_id,demand,total_demand\n"
+    assert "needs at least" in captured.err
 
 
 def test_simulate_timeline_and_ledger(scenario_file, capsys):

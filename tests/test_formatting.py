@@ -1,0 +1,139 @@
+import math
+import random
+import struct
+
+import numpy
+import pytest
+
+from credshare import BargainConfig, ConvergenceError, PeerProfile, run_bargaining
+from credshare.experiments import example_game, example_scenario
+from credshare.formatting import SIG_DIGITS, csv_text, format_sig
+from credshare.oracle import GridSpec, grid_search_price, revenue_agreement
+from credshare.simulator import EventKind, ScenarioEvent, run_scenario
+
+
+def format_sig_reference(value, digits=SIG_DIGITS):
+    """format_sig before its float fast path, kept as the reference."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if math.isnan(value):
+        return "nan"
+    if value == 0.0:
+        return "0"
+    return "{:.{p}g}".format(float(value), p=digits)
+
+
+def _random_doubles(rng, count):
+    """Floats from raw 64-bit patterns. Half keep the pattern as drawn; the
+    rest clear or fill the exponent (and maybe the mantissa) to reach ±0.0,
+    subnormals, ±inf and nans, which raw patterns hit once in 2048 draws."""
+    exponent, mantissa = 0x7FF << 52, (1 << 52) - 1
+    for _ in range(count):
+        bits = rng.getrandbits(64)
+        edge = rng.randrange(8)
+        if edge in (0, 1):
+            bits &= ~exponent
+        elif edge in (2, 3):
+            bits |= exponent
+        if edge in (1, 3):
+            bits &= ~mantissa
+        yield struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def test_format_sig_floats_match_the_reference():
+    rng = random.Random(5)
+    values = [*_random_doubles(rng, 20000), -0.0, -math.nan, 5e-324]
+    kinds = {"zero": 0, "subnormal": 0, "inf": 0, "nan": 0}
+    for value in values:
+        digits = rng.randint(1, 17)
+        for x in (value, numpy.float64(value)):
+            assert format_sig(x) == format_sig_reference(x)
+            assert format_sig(x, digits) == format_sig_reference(x, digits)
+        if value == 0.0:
+            kinds["zero"] += 1
+        elif 0.0 < abs(value) < 2.2250738585072014e-308:
+            kinds["subnormal"] += 1
+        elif math.isinf(value):
+            kinds["inf"] += 1
+        elif math.isnan(value):
+            kinds["nan"] += 1
+    assert min(kinds.values()) > 100
+
+
+def test_format_sig_fixed_cases():
+    cases = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+             10**7, True, False, None, "x,y", "", numpy.float64(-0.0),
+             numpy.float64(1234567.5), numpy.float64("nan"), 1e16, 0.1]
+    for value in cases:
+        assert format_sig(value) == format_sig_reference(value)
+    assert format_sig(10**7) == "10000000"
+    assert format_sig(True) == "True"
+    assert format_sig(-0.0) == format_sig(numpy.float64(-0.0)) == "0"
+
+
+def _plain_trace_csv(trace):
+    """ProtocolTrace.to_csv as csv_text over unformatted rows."""
+    rows = [(r.index, r.price, pid, x, r.total)
+            for r in trace.rounds for pid, x in r.demands.items()]
+    if trace.rounds:
+        rows.append(("summary", trace.rounds[-1].price, "", "", trace.rounds[-1].total))
+    return csv_text(("round", "price", "peer_id", "demand", "total_demand"), rows)
+
+
+def test_trace_csv_matches_plain_rows():
+    game = example_game("example4")
+    _, refined = run_bargaining(game, BargainConfig(step=50.0))
+    assert refined.refinements
+    with_zero = type(game)(game.uploader_capacity,
+                          [*game.peers, PeerProfile("idle", 0.0, 1.0)])
+    _, walked = run_bargaining(with_zero, BargainConfig(step=1.0))
+    with pytest.raises(ConvergenceError) as exc:
+        run_bargaining(game, BargainConfig(max_rounds=10))
+    refused = exc.value.trace
+    assert not refused.rounds
+    for trace in (refined, walked, refused):
+        assert trace.to_csv() == _plain_trace_csv(trace)
+
+
+def _agreement(ep):
+    if ep.equilibrium is None or ep.game is None:
+        return ""
+    spec = GridSpec.for_game(ep.game)
+    _, oracle_revenue = grid_search_price(ep.game, spec)
+    close = revenue_agreement(ep.game, ep.equilibrium.revenue, oracle_revenue, spec)
+    return "yes" if close else "no"
+
+
+def _plain_timeline_csv(timeline, oracle_check):
+    """TimelineRecord.to_csv as csv_text over unformatted rows."""
+    rows = []
+    for ep in timeline.epochs:
+        extra = (_agreement(ep),) if oracle_check else ()
+        if ep.equilibrium is None:
+            rows.append((ep.start, ep.end, "", "", "", "", *extra))
+            continue
+        eq = ep.equilibrium
+        rows.extend((ep.start, ep.end, eq.price, pid, eq.allocation[pid],
+                     eq.utilities[pid], *extra) for pid in sorted(ep.peer_ids))
+    header = ("epoch_start", "epoch_end", "price", "peer_id", "allocation", "utility")
+    return csv_text(header + (("oracle_agrees",) if oracle_check else ()), rows)
+
+
+def test_timeline_csv_matches_plain_rows():
+    capacity, events = example_scenario("example4")
+    joined = events[0].peer
+    gap = (ScenarioEvent(0.0, EventKind.JOIN, peer=joined),
+           ScenarioEvent(1.5, EventKind.LEAVE, peer_id=joined.id),
+           ScenarioEvent(2.25, EventKind.JOIN, peer=joined))
+    for capacity, events in ((capacity, events), (capacity, gap)):
+        timeline, _ = run_scenario(capacity, events)
+        for oracle_check in (False, True):
+            assert timeline.to_csv(oracle_check=oracle_check) == \
+                _plain_timeline_csv(timeline, oracle_check)
+    assert any(ep.equilibrium is None for ep in timeline.epochs)

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from credshare import (
     GameInstance,
     LN2,
     MessageKind,
+    PeerProfile,
     ProtocolAbort,
     ValidationError,
     replay,
@@ -139,9 +141,24 @@ def test_bargaining_refinement_disabled_raises(example4_game):
 
 
 def test_bargaining_max_rounds_exceeded(example4_game):
+    # example4 needs 8245 rounds at the default step; one short of that, the
+    # walk's lowest price is too close to the clearing price to refuse early
     with pytest.raises(ConvergenceError) as exc:
-        run_bargaining(example4_game, BargainConfig(max_rounds=10))
-    assert len(exc.value.trace.rounds) == 10
+        run_bargaining(example4_game, BargainConfig(max_rounds=8244))
+    assert len(exc.value.trace.rounds) == 8244
+    assert exc.value.trace.diagnostics == ["no convergence within max_rounds=8244"]
+
+
+def test_bargaining_refuses_a_walk_that_cannot_finish(example4_game):
+    with pytest.raises(ConvergenceError) as exc:
+        run_bargaining(example4_game, BargainConfig(max_rounds=10, log_messages=True))
+    trace = exc.value.trace
+    assert trace.rounds == [] and trace.messages == [] and trace.equilibrium is None
+    [diag] = trace.diagnostics
+    assert "max_rounds=10" in diag
+    needed = int(re.search(r"needs at least (\d+) rounds", diag).group(1))
+    assert 10 < needed <= 8245
+    assert trace.to_csv() == "round,price,peer_id,demand,total_demand\n"
 
 
 def test_bargaining_tolerance_larger_than_capacity_stops_at_start(example4_game):
@@ -282,3 +299,76 @@ def test_message_logging_changes_only_the_message_log():
         assert Counter(logs[0]) == Counter(logs[1]) == Counter(logs[2])
         reordered = reordered or logs[0] != logs[1]
     assert reordered
+
+
+# --- refusing walks that cannot finish ---------------------------------------
+
+def _bargaining_session(rng):
+    """A game and config knobs whose walk ends within a few hundred rounds.
+
+    Draws zero-credit peers, exact ratio ties (a repeated profile), and
+    capacities past the credited total, where the walk saturates.
+    """
+    peers = []
+    for i in range(1, rng.randint(1, 5) + 1):
+        draw = rng.random()
+        if draw < 0.15:
+            c, d = 0.0, rng.uniform(0.1, 5.0)
+        elif draw < 0.35 and peers:
+            c, d = peers[0].credits, peers[0].capacity
+        else:
+            c, d = rng.uniform(1.0, 500.0), rng.uniform(0.1, 5.0)
+        peers.append(PeerProfile(f"p{i}", c, d))
+    if all(p.credits == 0 for p in peers):
+        peers[0] = PeerProfile("p1", rng.uniform(1.0, 500.0), peers[0].capacity)
+    credited = sum(p.capacity for p in peers if p.credits > 0)
+    game = GameInstance(rng.uniform(0.05, 1.3) * credited, peers)
+    top = max(p.cutoff_price for p in peers)
+    initial = None if rng.random() < 0.5 else top * rng.uniform(1.0, 1.5)
+    span = (initial or top) - solve(game).price
+    knobs = dict(initial_price=initial,
+                 step=span / rng.uniform(2.0, 300.0),
+                 tolerance=game.uploader_capacity * 10 ** rng.uniform(-5.0, 0.3),
+                 max_refinements=rng.randint(0, 6))
+    return game, knobs
+
+
+def _bargaining_outcome(game, cfg):
+    try:
+        eq, trace = run_bargaining(game, cfg)
+        error = None
+    except ConvergenceError as exc:
+        eq, trace, error = None, exc.trace, str(exc)
+    return dict(error=error, price=eq.price.hex() if eq else None,
+                csv=trace.to_csv(), rounds=trace.rounds,
+                diagnostics=trace.diagnostics, refinements=trace.refinements)
+
+
+def test_refusal_only_replaces_walks_that_reach_max_rounds():
+    rng = random.Random(307)
+    refused = walked_to_limit = 0
+    for _ in range(120):
+        game, knobs = _bargaining_session(rng)
+        ref = _bargaining_outcome(game, BargainConfig(max_rounds=10**5, **knobs))
+        assert "max_rounds" not in (ref["error"] or "")
+        # the round the session ends in; a saturation failure records no row
+        needed = len(ref["rounds"]) + ("unreachable" in (ref["error"] or ""))
+        for max_rounds in range(max(1, needed - 2), needed + 4):
+            out = _bargaining_outcome(game, BargainConfig(max_rounds=max_rounds, **knobs))
+            if needed <= max_rounds:
+                assert out == ref
+                continue
+            limit = f"no convergence within max_rounds={max_rounds}"
+            if out["rounds"]:
+                walked_to_limit += 1
+                assert out["rounds"] == ref["rounds"][:max_rounds]
+                assert out["diagnostics"][-1] == limit
+                assert out["refinements"] == [
+                    ev for ev in ref["refinements"] if ev.round_index <= max_rounds]
+            else:
+                refused += 1
+                [diag] = out["diagnostics"]
+                assert diag.startswith(limit + ":") and not out["refinements"]
+                stated = int(re.search(r"needs at least (\d+) rounds", diag).group(1))
+                assert max_rounds < stated <= needed
+    assert refused > 40 and walked_to_limit > 40
