@@ -5,7 +5,9 @@ posted bandwidth price mu with a piecewise demand: full capacity below its
 saturation price c/(2 d ln2), the hyperbola c/(mu ln2) - d between that and
 its cutoff price c/(d ln2), and nothing above. Summing over a request set
 gives a continuous, nonincreasing aggregate demand curve whose breakpoints
-are the peers' two thresholds; the solver inverts it segment by segment.
+are the peers' two thresholds; the solver scans them from the top and
+inverts the one segment that brackets the capacity. DemandCurve materializes
+every segment, for inspection only.
 
 Threshold values are computed once per peer from the priority ratio
 h = c/d (cutoff = h/ln2, saturation = cutoff/2, exact halving) so equal
@@ -212,14 +214,15 @@ class DemandSegment:
 
     lo: float
     hi: float
-    codes: tuple           # per-peer branch codes, aligned with curve.peers
-    saturated: frozenset   # peer ids demanding full capacity here
-    active: frozenset      # peer ids on the interior hyperbola here
+    codes: tuple  # per-peer branch codes (SAT, ACT, ZERO), aligned with curve.peers
 
 
 @dataclass(frozen=True)
 class DemandCurve:
     """Aggregate demand materialized as breakpoints plus segments.
+
+    An inspection utility: it holds (2n + 1) x n branch codes, and solve()
+    does not build it.
 
     Segment k covers (breakpoints[k-1], breakpoints[k]] (left bound 0 for
     the first); one trailing segment covers prices above every cutoff.
@@ -276,15 +279,5 @@ def build_demand_curve(game: GameInstance) -> DemandCurve:
                 codes.append(ACT)
             else:
                 codes.append(ZERO)
-        segments.append(
-            DemandSegment(
-                lo=lo,
-                hi=hi,
-                codes=tuple(codes),
-                saturated=frozenset(
-                    p.id for p, c in zip(game.peers, codes) if c == SAT
-                ),
-                active=frozenset(p.id for p, c in zip(game.peers, codes) if c == ACT),
-            )
-        )
+        segments.append(DemandSegment(lo=lo, hi=hi, codes=tuple(codes)))
     return DemandCurve(peers=game.peers, breakpoints=breakpoints, segments=tuple(segments))

@@ -249,7 +249,6 @@ def run_direct(game: GameInstance, seed: int = 0,
     replies = transport.deliver(
         downloaders[m.receiver].on_price(m) for m in price_msgs
     )
-    demands = {}
     for m in replies:
         expected = best_response(profiles[m.sender], eq.price)
         if m.bandwidth != expected:
@@ -257,11 +256,8 @@ def run_direct(game: GameInstance, seed: int = 0,
                     f"expected {expected!r} at price {eq.price!r}")
             trace.diagnostics.append(diag)
             raise ProtocolAbort(diag, trace)
-        demands[m.sender] = m.bandwidth
-    demands = {p.id: demands[p.id] for p in roster}
-    total = 0.0
-    for p in roster:
-        total += demands[p.id]
+    # every reply equals its best response, so the checked demands are these
+    demands, total = _round_demands(roster, eq.price)
 
     trace.rounds.append(TraceRound(index=1, price=eq.price, demands=demands,
                                    total=total, accepted=True))
@@ -336,7 +332,8 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     Accepts the first round whose total demand has reached the capacity and
     sits inside the tolerance band. A round that jumps past the band
     triggers a refinement: resume from the previous under-capacity price
-    with a tenth of the step. Demand below the band is accepted only when
+    with a tenth of the step; a first round past the band has no such price
+    and raises ConvergenceError. Demand below the band is accepted only when
     it can no longer rise (every credited peer already at capacity) or on
     the very first round (capacity already within tolerance of zero demand).
     A session that provably cannot end within max_rounds raises
@@ -388,6 +385,14 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
 
         if crossed:
             trace.rounds.append(TraceRound(round_index, price, demands, total, False))
+            if prev_price is None:
+                # no under-capacity price to resume from, and every later
+                # round would lie lower still and overshoot as well
+                diag = (f"round 1: demand {total} at the initial price {price} "
+                        f"overshot capacity {u_k} beyond tolerance "
+                        f"{cfg.tolerance}; the walk only lowers the price")
+                trace.diagnostics.append(diag)
+                raise ConvergenceError(diag, trace)
             if refinements_used >= cfg.max_refinements:
                 diag = (f"round {round_index}: demand {total} overshot capacity "
                         f"{u_k} beyond tolerance {cfg.tolerance} and no "
@@ -440,15 +445,8 @@ def replay(trace: ProtocolTrace, game: GameInstance) -> bool:
     roster = game.sorted_by_priority()
 
     def demands_match(r):
-        if set(r.demands) != {p.id for p in game.peers}:
-            return False
-        for p in game.peers:
-            if r.demands[p.id] != best_response(p, r.price):
-                return False
-        total = 0.0
-        for p in roster:
-            total += r.demands[p.id]
-        return total == r.total
+        demands, total = _round_demands(roster, r.price)
+        return r.demands == demands and r.total == total
 
     if trace.protocol == "direct":
         if len(trace.rounds) != 1:

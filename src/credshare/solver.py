@@ -9,15 +9,16 @@ priority ratios a saturation plateau above it can out-earn it while
 leaving capacity idle, which the brute-force oracle measures.)
 
 Demand is piecewise hyperbolic between threshold breakpoints and strictly
-decreasing wherever some peer is price sensitive, so the solver brackets
-the capacity between breakpoint demand values and inverts the bracketed
-segment in closed form:
+decreasing wherever some peer is price sensitive, so the solver scans the
+sorted breakpoints from the top, evaluating aggregate_demand at each, until
+one segment brackets the capacity, and inverts that segment in closed form:
 
     mu = sum(c, active) / ((u_k - sum(d, saturated) + sum(d, active)) * ln2)
 
-No iterative root finding is involved. Where demand is flat at exactly the
-capacity (a plateau), the supremum price of the plateau is returned, since
-revenue mu * u_k rises with mu along it.
+No iterative root finding is involved, and no DemandCurve is built: that
+structure is an inspection utility, not part of the solve path. Where
+demand is flat at exactly the capacity (a plateau), the supremum price of
+the plateau is returned, since revenue mu * u_k rises with mu along it.
 
 Closed forms for special structures (two peers, the all-interior balance
 region, a fully interleaved threshold order) are provided as independently
@@ -38,9 +39,10 @@ from .model import (
     RegionLabel,
     aggregate_demand,
     best_response,
-    build_demand_curve,
     downloader_utility,
 )
+# build_demand_curve is not called here: perfbench/tracing.py wraps it as an attribute
+from .model import build_demand_curve  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -149,46 +151,37 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
         # u_k by a rounding step and lose the saturated label
         return equilibrium_at(game, price, RegionLabel.SATURATED)
 
-    curve = build_demand_curve(canonical)
-    breakpoints = curve.breakpoints
-    # vals[j] = demand at breakpoint j (right end of finite segment j);
-    # vals[0] is the low-price limit, the full credited capacity.
-    vals = [credited_capacity]
-    vals.extend(curve.demand_at(t) for t in breakpoints)
-
-    bracket = None   # segment index whose inversion pins the price
-    plateau = None   # breakpoint value to return for a flat stretch at u_k
-    n_brackets = 0
-    for j in range(len(breakpoints), 0, -1):
-        hi_val, lo_val = vals[j], vals[j - 1]
-        if hi_val == u_k and lo_val == u_k:
-            if plateau is None and bracket is None:
-                plateau = breakpoints[j - 1]
-        elif hi_val <= u_k < lo_val:
-            n_brackets += 1
-            if bracket is None and plateau is None:
-                bracket = j
-    if n_brackets != 1 and not (n_brackets == 0 and plateau is not None):
-        raise RuntimeError(
-            f"demand bracketing is not unique: {n_brackets} candidate segments"
-        )
-
-    if plateau is not None:
-        price = plateau
-    else:
-        segment = curve.segments[bracket - 1]
-        active = [p for p in canonical.peers if p.id in segment.active]
-        if not active:
-            # flat segment whose endpoint evaluations straddle u_k by
-            # rounding only: the supremum price clears it
-            price = breakpoints[bracket - 1]
-        else:
-            sat_capacity = sum(
-                p.capacity for p in canonical.peers if p.id in segment.saturated
-            )
-            active_credits = sum(p.credits for p in active)
-            active_capacity = sum(p.capacity for p in active)
-            price = active_credits / ((u_k - sat_capacity + active_capacity) * LN2)
+    # Segments (breakpoints[j-1], breakpoints[j]], scanned from the top.
+    # Demand at the top cutoff is 0 in theory and taken as 0.0, so every
+    # scanned upper end demands at most u_k and the first lower end that
+    # demands more brackets it. Float demand never rises with the price, so
+    # no lower segment brackets it again; the lowest segment's lower end
+    # demands credited_capacity > u_k, so the scan always stops.
+    breakpoints = sorted({t for p in credited
+                          for t in (p.saturation_price, p.cutoff_price)})
+    hi_val = 0.0
+    for j in range(len(breakpoints) - 1, -1, -1):
+        top = breakpoints[j]
+        lo_val = (aggregate_demand(canonical, breakpoints[j - 1]) if j
+                  else credited_capacity)
+        if hi_val == u_k == lo_val:
+            price = top  # plateau: the supremum price of the flat stretch
+            break
+        if lo_val > u_k:
+            active = [p for p in credited
+                      if p.saturation_price < top <= p.cutoff_price]
+            if not active:
+                # flat segment whose endpoint evaluations straddle u_k by
+                # rounding only: the supremum price clears it
+                price = top
+            else:
+                sat_capacity = sum(p.capacity for p in credited
+                                   if p.saturation_price >= top)
+                active_credits = sum(p.credits for p in active)
+                active_capacity = sum(p.capacity for p in active)
+                price = active_credits / ((u_k - sat_capacity + active_capacity) * LN2)
+            break
+        hi_val = lo_val
 
     residual = abs(aggregate_demand(canonical, price) - u_k)
     if residual > config.residual_tolerance * max(1.0, abs(u_k)):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import credshare
 from credshare.cli import main
 from credshare.experiments import example_game, example_scenario
 from credshare.interchange import save_instance, save_scenario
@@ -189,6 +194,40 @@ def test_bargain_convergence_failure_exits_2(instance_file, capsys):
     # refused before the first round: the trace is the header alone
     assert captured.out == "round,price,peer_id,demand,total_demand\n"
     assert "needs at least" in captured.err
+
+
+@pytest.fixture
+def tiny_capacity_file(tmp_path):
+    # one peer whose demand at its cutoff rounds to 4.44e-16, above supply
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "uploader_capacity": 1e-16,
+        "peers": [{"id": "a", "credits": 418.046786856015,
+                   "capacity": 2.220558632734762}],
+    }))
+    return str(path)
+
+
+def _run_cli(*argv):
+    src = Path(credshare.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "credshare", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_solve_tiny_capacity(tiny_capacity_file):
+    run = _run_cli("solve", tiny_capacity_file)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "price: 271.605" in run.stdout
+
+
+def test_bargain_round_one_overshoot_exits_2(tiny_capacity_file):
+    run = _run_cli("bargain", tiny_capacity_file, "--epsilon", "1e-17")
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert "bargain: round 1: demand" in run.stderr
 
 
 def test_simulate_timeline_and_ledger(scenario_file, capsys):

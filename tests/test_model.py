@@ -13,6 +13,7 @@ from credshare import (
     downloader_utility,
     satisfaction,
 )
+from credshare.model import ACT, SAT, ZERO
 from credshare.oracle import deviation_probe
 
 from conftest import make_game, random_oversubscribed
@@ -285,4 +286,14 @@ def test_curve_segment_sets_constant_and_partition():
     for seg, nxt in zip(curve.segments, curve.segments[1:]):
         assert seg.hi == nxt.lo
     for seg in curve.segments:
-        assert seg.saturated.isdisjoint(seg.active)
+        assert len(seg.codes) == len(curve.peers)
+        # the branch each peer takes is the same at the upper end and inside
+        inner = seg.hi if seg.hi < math.inf else 2.0 * seg.lo
+        for price in (seg.hi, 0.5 * (seg.lo + inner)):
+            for peer, code in zip(curve.peers, seg.codes):
+                if peer.saturation_price >= price:
+                    assert code == SAT
+                elif peer.cutoff_price >= price:
+                    assert code == ACT
+                else:
+                    assert code == ZERO

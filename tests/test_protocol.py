@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -94,6 +95,16 @@ def test_tampered_trace_fails_replay(example4_game):
     assert not replay(trace, example4_game)
 
 
+def test_replay_checks_the_round_total(example4_game):
+    from credshare.protocol import TraceRound
+
+    _, trace = run_direct(example4_game)
+    r = trace.rounds[0]
+    trace.rounds[0] = TraceRound(r.index, r.price, r.demands,
+                                 math.nextafter(r.total, 0.0), r.accepted)
+    assert not replay(trace, example4_game)
+
+
 # --- bargaining scheme -------------------------------------------------------
 
 def test_bargaining_walks_down_to_the_solved_price(example4_game):
@@ -159,6 +170,20 @@ def test_bargaining_refuses_a_walk_that_cannot_finish(example4_game):
     needed = int(re.search(r"needs at least (\d+) rounds", diag).group(1))
     assert 10 < needed <= 8245
     assert trace.to_csv() == "round,price,peer_id,demand,total_demand\n"
+
+
+def test_bargaining_round_one_overshoot_raises():
+    # demand at the top cutoff rounds to 4.44e-16, already past a 1e-16
+    # capacity by more than the tolerance: no lower price can fall back
+    game = make_game(1e-16, [(418.046786856015, 2.220558632734762)])
+    with pytest.raises(ConvergenceError) as exc:
+        run_bargaining(game, BargainConfig(tolerance=1e-17))
+    trace = exc.value.trace
+    [probe] = trace.rounds
+    assert probe.index == 1 and not probe.accepted and probe.total > 1e-16
+    assert trace.refinements == [] and trace.equilibrium is None
+    [diag] = trace.diagnostics
+    assert diag.startswith("round 1: demand ") and "overshot capacity" in diag
 
 
 def test_bargaining_tolerance_larger_than_capacity_stops_at_start(example4_game):
