@@ -19,7 +19,7 @@ import json
 from typing import Sequence, Tuple
 
 from .errors import ValidationError
-from .model import GameInstance, PeerProfile
+from .model import GameInstance, PeerProfile, _require_finite
 from .simulator import EventKind, ScenarioEvent
 
 
@@ -46,7 +46,7 @@ def instance_from_dict(doc) -> GameInstance:
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a JSON object")
     try:
-        capacity = doc["uploader_capacity"]
+        capacity = _require_finite("uploader_capacity", doc["uploader_capacity"])
         peers = doc["peers"]
     except KeyError as exc:
         raise ValidationError(f"instance document missing {exc}") from exc
@@ -101,7 +101,7 @@ def scenario_from_dict(doc) -> Tuple[float, Tuple[ScenarioEvent, ...]]:
     if not isinstance(doc, dict):
         raise ValidationError("scenario document must be a JSON object")
     try:
-        capacity = float(doc["uploader_capacity"])
+        capacity = _require_finite("uploader_capacity", doc["uploader_capacity"])
         events = doc["events"]
     except KeyError as exc:
         raise ValidationError(f"scenario document missing {exc}") from exc

@@ -9,6 +9,11 @@ are the peers' two thresholds; the solver scans them from the top and
 inverts the one segment that brackets the capacity. DemandCurve materializes
 every segment, for inspection only.
 
+A game owns one priority order of its peers (ratio descending, id
+ascending on ties), computed once. Every demand total is summed in that
+order, so no total, price or region label depends on the order in which
+the peers are listed.
+
 Threshold values are computed once per peer from the priority ratio
 h = c/d (cutoff = h/ln2, saturation = cutoff/2, exact halving) so equal
 ratios yield bitwise-equal thresholds and tie merging is exact. Every
@@ -35,9 +40,14 @@ ZERO = 2  # price above cutoff (or no credits): demands nothing
 
 
 def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
+    """value as a finite float, or ValidationError."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -54,10 +64,8 @@ class PeerProfile:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("peer id must be a non-empty string")
-        object.__setattr__(self, "credits", float(self.credits))
-        object.__setattr__(self, "capacity", float(self.capacity))
-        _require_finite("credits", self.credits)
-        _require_finite("capacity", self.capacity)
+        object.__setattr__(self, "credits", _require_finite("credits", self.credits))
+        object.__setattr__(self, "capacity", _require_finite("capacity", self.capacity))
         if self.credits < 0:
             raise ValidationError(f"credits must be >= 0, got {self.credits}")
         if self.capacity <= 0:
@@ -75,11 +83,12 @@ class GameInstance:
 
     uploader_capacity: float
     peers: tuple
+    _priority: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "uploader_capacity", float(self.uploader_capacity))
+        object.__setattr__(self, "uploader_capacity",
+                           _require_finite("uploader_capacity", self.uploader_capacity))
         object.__setattr__(self, "peers", tuple(self.peers))
-        _require_finite("uploader_capacity", self.uploader_capacity)
         if self.uploader_capacity <= 0:
             raise ValidationError(
                 f"uploader_capacity must be > 0, got {self.uploader_capacity}"
@@ -93,6 +102,8 @@ class GameInstance:
             if peer.id in seen:
                 raise ValidationError(f"duplicate peer id {peer.id!r}")
             seen.add(peer.id)
+        object.__setattr__(self, "_priority",
+                           tuple(sorted(self.peers, key=lambda p: (-p.ratio, p.id))))
 
     @property
     def total_capacity(self):
@@ -110,8 +121,11 @@ class GameInstance:
         raise KeyError(peer_id)
 
     def sorted_by_priority(self):
-        """Peers by priority ratio descending, id ascending on ties."""
-        return tuple(sorted(self.peers, key=lambda p: (-p.ratio, p.id)))
+        """Peers by priority ratio descending, id ascending on ties.
+
+        The order every demand total is summed in.
+        """
+        return self._priority
 
 
 @dataclass(frozen=True)
@@ -201,9 +215,10 @@ def downloader_utility(peer: PeerProfile, bandwidth: float, price: float) -> flo
 
 
 def aggregate_demand(game: GameInstance, price: float) -> float:
-    """Total demand at a price; nonincreasing and continuous in price."""
+    """Total demand at a price, summed in priority order; nonincreasing and
+    continuous in price."""
     total = 0.0
-    for peer in game.peers:
+    for peer in game.sorted_by_priority():
         total += best_response(peer, price)
     return total
 
@@ -226,8 +241,9 @@ class DemandCurve:
 
     Segment k covers (breakpoints[k-1], breakpoints[k]] (left bound 0 for
     the first); one trailing segment covers prices above every cutoff.
-    Evaluation walks peers in game order with the same arithmetic as
-    best_response, so demand_at is bitwise equal to aggregate_demand.
+    The peers are listed in priority order, and evaluation walks them with
+    the same arithmetic as best_response, so demand_at is bitwise equal to
+    aggregate_demand.
     """
 
     peers: tuple
@@ -261,8 +277,9 @@ def build_demand_curve(game: GameInstance) -> DemandCurve:
     Breakpoints are the distinct positive thresholds over all peers; equal
     thresholds (tied priority ratios) merge into a single breakpoint.
     """
+    peers = game.sorted_by_priority()
     thresholds = set()
-    for p in game.peers:
+    for p in peers:
         if p.credits > 0:
             thresholds.add(p.saturation_price)
             thresholds.add(p.cutoff_price)
@@ -272,7 +289,7 @@ def build_demand_curve(game: GameInstance) -> DemandCurve:
     bounds = [0.0, *breakpoints, math.inf]
     for lo, hi in zip(bounds, bounds[1:]):
         codes = []
-        for p in game.peers:
+        for p in peers:
             if p.credits > 0 and p.saturation_price >= hi:
                 codes.append(SAT)
             elif p.credits > 0 and p.cutoff_price >= hi:
@@ -280,4 +297,4 @@ def build_demand_curve(game: GameInstance) -> DemandCurve:
             else:
                 codes.append(ZERO)
         segments.append(DemandSegment(lo=lo, hi=hi, codes=tuple(codes)))
-    return DemandCurve(peers=game.peers, breakpoints=breakpoints, segments=tuple(segments))
+    return DemandCurve(peers=peers, breakpoints=breakpoints, segments=tuple(segments))

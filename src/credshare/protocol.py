@@ -1,7 +1,7 @@
 """Message-passing realizations of the pricing game.
 
-Two schemes, both between one uploader actor and n downloader actors over a
-deterministic in-process transport:
+Two schemes, both between the uploader and n downloaders exchanging
+messages in one seeded session:
 
 * direct: one round. Downloaders report (credits, capacity); the uploader
   solves for the optimal price, broadcasts it, collects the induced
@@ -16,12 +16,14 @@ deterministic in-process transport:
   it only compares demand to capacity.
 
 Both runs emit an auditable trace: every broadcast price with the per-peer
-demands it drew, refinement events, and the terminal equilibrium. Delivery
-order of concurrent messages is shuffled by a seed and must not affect the
-outcome; the uploader proceeds only after a full round of replies. The
-direct scheme always logs its messages. Bargaining computes each round's
-demands directly from the best responses and builds its PRICE, DEMAND and
-STREAM_START messages (and shuffles them) only when log_messages is on.
+demands it drew, refinement events, and the terminal equilibrium. Each
+round's demands are listed and totalled in the game's priority order. The
+session numbers each sender's messages and delivers every batch in an
+order shuffled by a seed, which must not affect the outcome; the uploader
+proceeds only after a full round of replies. The direct scheme always logs
+its messages. Bargaining computes each round's demands directly from the
+best responses and builds its PRICE, DEMAND and STREAM_START messages (and
+shuffles them) only when log_messages is on.
 """
 
 import math
@@ -31,7 +33,8 @@ from enum import Enum
 from typing import Callable, List, Mapping, Optional, Tuple
 
 from .errors import ConvergenceError, ProtocolAbort, ValidationError
-from .model import UPLOADER_ID, Equilibrium, GameInstance, PeerProfile, best_response
+from .model import (UPLOADER_ID, Equilibrium, GameInstance, PeerProfile,
+                    _require_finite, best_response)
 # classify_region is not called here: perfbench/tracing.py wraps it as an attribute
 from .solver import classify_region, equilibrium_at, solve  # noqa: F401
 
@@ -62,7 +65,8 @@ class BargainConfig:
     """Knobs for the iterative scheme.
 
     initial_price None means "just above the market": the largest cutoff
-    price over the request set, where demand is exactly zero. The step and
+    price over the request set, where demand is exactly zero. The step,
+    the tolerance and a given initial price must be finite. The step and
     tolerance defaults suit desk-scale games like the built-in experiments.
     """
 
@@ -74,6 +78,10 @@ class BargainConfig:
     log_messages: bool = False
 
     def __post_init__(self):
+        _require_finite("step", self.step)
+        _require_finite("tolerance", self.tolerance)
+        if self.initial_price is not None:
+            _require_finite("initial_price", self.initial_price)
         if self.step <= 0:
             raise ValidationError(f"step must be > 0, got {self.step}")
         if self.tolerance <= 0:
@@ -129,82 +137,48 @@ class ProtocolTrace:
         return csv_text(("round", "price", "peer_id", "demand", "total_demand"), rows)
 
 
-class _Actor:
-    def __init__(self, name):
-        self.name = name
-        self._seq = 0
+class _Session:
+    """The messages between the uploader and a game's downloaders.
 
-    def _send(self, kind, receiver, **payload):
-        self._seq += 1
-        return Message(kind=kind, sender=self.name, receiver=receiver,
-                       seq=self._seq, **payload)
+    Each sender numbers its own messages from 1. Every batch is shuffled by
+    the seeded delivery order and appended to the log as delivered.
+    """
 
-
-class DownloaderActor(_Actor):
-    """Honest by default; a misreport hook can corrupt demand replies."""
-
-    def __init__(self, profile: PeerProfile,
-                 misreport: Optional[Callable[[float], float]] = None):
-        super().__init__(profile.id)
-        self.profile = profile
-        self.misreport = misreport
-
-    def request(self, uploader: str) -> Message:
-        return self._send(MessageKind.REQUEST, uploader,
-                          credits=self.profile.credits,
-                          capacity=self.profile.capacity)
-
-    def on_price(self, msg: Message) -> Message:
-        demand = best_response(self.profile, msg.price)
-        if self.misreport is not None:
-            demand = self.misreport(demand)
-        return self._send(MessageKind.DEMAND, msg.sender, bandwidth=demand,
-                          price=msg.price, round_index=msg.round_index)
-
-
-class _Transport:
-    """Delivers one round of messages in seeded order and logs them."""
-
-    def __init__(self, seed: int, log: List[Message]):
+    def __init__(self, game: GameInstance, seed: int, log: List[Message]):
         self._rng = random.Random(seed)
         self._log = log
+        self._ids = [p.id for p in game.peers]
+        self._seq = dict.fromkeys([UPLOADER_ID, *self._ids], 0)
 
-    def deliver(self, batch):
+    def send(self, kind, sender, receiver, **payload) -> Message:
+        self._seq[sender] += 1
+        return Message(kind=kind, sender=sender, receiver=receiver,
+                       seq=self._seq[sender], **payload)
+
+    def deliver(self, batch) -> List[Message]:
         batch = list(batch)
         self._rng.shuffle(batch)
         self._log.extend(batch)
         return batch
 
-
-class _BargainLog:
-    """The messages of a logged bargaining run, in seeded delivery order.
-
-    Each reply carries the demand the walk already computed for its sender,
-    so logging changes nothing but trace.messages.
-    """
-
-    def __init__(self, game: GameInstance, seed: int, log: List[Message]):
-        self._transport = _Transport(seed, log)
-        self._uploader = _Actor(UPLOADER_ID)
-        self._downloaders = {p.id: _Actor(p.id) for p in game.peers}
-
-    def round(self, price: float, round_index: int, demands: Mapping[str, float]):
-        price_msgs = self._transport.deliver(
-            self._uploader._send(MessageKind.PRICE, pid, price=price,
-                                 round_index=round_index)
-            for pid in self._downloaders
-        )
-        self._transport.deliver(
-            self._downloaders[m.receiver]._send(
-                MessageKind.DEMAND, UPLOADER_ID, bandwidth=demands[m.receiver],
-                price=price, round_index=round_index)
-            for m in price_msgs
+    def broadcast(self, kind, bandwidths=None, **payload) -> List[Message]:
+        """One message from the uploader to each downloader; `bandwidths`,
+        keyed by peer id, gives each its own bandwidth field."""
+        return self.deliver(
+            self.send(kind, UPLOADER_ID, pid, **payload,
+                      bandwidth=None if bandwidths is None else bandwidths[pid])
+            for pid in self._ids
         )
 
-    def stream_start(self):
-        self._transport.deliver(
-            self._uploader._send(MessageKind.STREAM_START, pid)
-            for pid in self._downloaders
+    def round(self, price: float, round_index: int, reply: Callable[[str], float]):
+        """A PRICE to every downloader, then its DEMAND of reply(peer id),
+        in delivery order; returns the delivered replies."""
+        return self.deliver(
+            self.send(MessageKind.DEMAND, m.receiver, UPLOADER_ID,
+                      bandwidth=reply(m.receiver), price=price,
+                      round_index=round_index)
+            for m in self.broadcast(MessageKind.PRICE, price=price,
+                                    round_index=round_index)
         )
 
 
@@ -218,38 +192,40 @@ def run_direct(game: GameInstance, seed: int = 0,
                ) -> Tuple[Equilibrium, ProtocolTrace]:
     """One-round scheme: collect profiles, solve, broadcast, grant.
 
-    Raises ProtocolAbort when a demand reply disagrees with the reported
-    profile's best response (misreporting downloader), or when the
-    equilibrium price draws no demand at all.
+    Downloaders reply honestly unless `misreport` maps their id to a hook
+    that corrupts the demand they send. Raises ProtocolAbort when a demand
+    reply disagrees with the reported profile's best response (misreporting
+    downloader), or when the equilibrium price draws no demand at all.
     """
     _check_ids(game)
     trace = ProtocolTrace(protocol="direct")
-    transport = _Transport(seed, trace.messages)
+    session = _Session(game, seed, trace.messages)
     misreport = misreport or {}
-    downloaders = {p.id: DownloaderActor(p, misreport.get(p.id)) for p in game.peers}
-    uploader = _Actor(UPLOADER_ID)
+    peers = {p.id: p for p in game.peers}
 
     # stage 1: requests carry (credits, capacity)
-    requests = transport.deliver(d.request(UPLOADER_ID) for d in downloaders.values())
+    requests = session.deliver(
+        session.send(MessageKind.REQUEST, p.id, UPLOADER_ID,
+                     credits=p.credits, capacity=p.capacity)
+        for p in game.peers
+    )
     profiles = {
         m.sender: PeerProfile(m.sender, m.credits, m.capacity) for m in requests
     }
 
     # stage 2: the uploader prices the round from the reported profiles,
     # keyed in game order like solve(); the trace lists them by priority
-    eq = solve(GameInstance(game.uploader_capacity,
-                            [profiles[p.id] for p in game.peers]))
-    roster = sorted(profiles.values(), key=lambda p: (-p.ratio, p.id))
-    price_msgs = transport.deliver(
-        uploader._send(MessageKind.PRICE, pid, price=eq.price, round_index=1)
-        for pid in downloaders
-    )
+    reported = GameInstance(game.uploader_capacity,
+                            [profiles[p.id] for p in game.peers])
+    eq = solve(reported)
 
     # stage 3: demand replies, each checked against the reported profile
-    replies = transport.deliver(
-        downloaders[m.receiver].on_price(m) for m in price_msgs
-    )
-    for m in replies:
+    def reply(pid):
+        demand = best_response(peers[pid], eq.price)
+        hook = misreport.get(pid)
+        return demand if hook is None else hook(demand)
+
+    for m in session.round(eq.price, 1, reply):
         expected = best_response(profiles[m.sender], eq.price)
         if m.bandwidth != expected:
             diag = (f"demand reply from {m.sender} is {m.bandwidth!r}, "
@@ -257,7 +233,7 @@ def run_direct(game: GameInstance, seed: int = 0,
             trace.diagnostics.append(diag)
             raise ProtocolAbort(diag, trace)
     # every reply equals its best response, so the checked demands are these
-    demands, total = _round_demands(roster, eq.price)
+    demands, total = _round_demands(reported, eq.price)
 
     trace.rounds.append(TraceRound(index=1, price=eq.price, demands=demands,
                                    total=total, accepted=True))
@@ -267,30 +243,25 @@ def run_direct(game: GameInstance, seed: int = 0,
         raise ProtocolAbort(diag, trace)
 
     # stage 4: grants, then streaming
-    transport.deliver(
-        uploader._send(MessageKind.GRANT, pid, bandwidth=demands[pid])
-        for pid in downloaders
-    )
-    transport.deliver(
-        uploader._send(MessageKind.STREAM_START, pid) for pid in downloaders
-    )
+    session.broadcast(MessageKind.GRANT, demands)
+    session.broadcast(MessageKind.STREAM_START)
 
     trace.equilibrium = eq
     return eq, trace
 
 
-def _round_demands(roster, price):
-    """One round's demands and their total, summed in roster order."""
+def _round_demands(game: GameInstance, price: float):
+    """One round's demands and their total, in the game's priority order."""
     demands = {}
     total = 0.0
-    for p in roster:
+    for p in game.sorted_by_priority():
         x = best_response(p, price)
         demands[p.id] = x
         total += x
     return demands, total
 
 
-def _refusal(game: GameInstance, cfg: BargainConfig, roster, mu0: float,
+def _refusal(game: GameInstance, cfg: BargainConfig, mu0: float,
              min_saturation: float) -> Optional[str]:
     """The diagnostic for a walk that cannot end within cfg.max_rounds, or None.
 
@@ -308,15 +279,15 @@ def _refusal(game: GameInstance, cfg: BargainConfig, roster, mu0: float,
     floor = mu0 - cfg.max_rounds * stride
     if not floor > min_saturation:  # also when floor is nan
         return None
-    if _round_demands(roster, floor)[1] >= u_k:
+    if _round_demands(game, floor)[1] >= u_k:
         return None
-    if abs(_round_demands(roster, mu0)[1] - u_k) < cfg.tolerance:
+    if abs(_round_demands(game, mu0)[1] - u_k) < cfg.tolerance:
         return None  # round 1 is accepted
     # no round stops above a price whose round sum is below capacity, so the
     # walk needs at least as many rounds as reaching it takes
     lowest = solve(game).price + cfg.step
     if not (min_saturation < lowest < floor
-            and _round_demands(roster, lowest)[1] < u_k):
+            and _round_demands(game, lowest)[1] < u_k):
         lowest = floor
     needed = max(int((mu0 - lowest) / stride), cfg.max_rounds + 1)
     return (f"no convergence within max_rounds={cfg.max_rounds}: demand stays "
@@ -354,12 +325,13 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     u_k = game.uploader_capacity
 
     trace = ProtocolTrace(protocol="bargaining", config=cfg)
-    roster = game.sorted_by_priority()
-    diag = _refusal(game, cfg, roster, mu0, min_saturation)
+    diag = _refusal(game, cfg, mu0, min_saturation)
     if diag is not None:
         trace.diagnostics.append(diag)
         raise ConvergenceError(diag, trace)
-    log = _BargainLog(game, seed, trace.messages) if cfg.log_messages else None
+    # each logged reply carries the demand the walk already computed for its
+    # sender, so logging changes nothing but trace.messages
+    log = _Session(game, seed, trace.messages) if cfg.log_messages else None
 
     price = mu0
     step = cfg.step
@@ -367,9 +339,9 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     prev_price = None  # last under-capacity price, the refinement anchor
 
     for round_index in range(1, cfg.max_rounds + 1):
-        demands, total = _round_demands(roster, price)
+        demands, total = _round_demands(game, price)
         if log is not None:
-            log.round(price, round_index, demands)
+            log.round(price, round_index, demands.__getitem__)
 
         in_band = abs(total - u_k) < cfg.tolerance
         crossed = total >= u_k
@@ -380,7 +352,7 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
             eq = equilibrium_at(game, price)
             trace.equilibrium = eq
             if log is not None:
-                log.stream_start()
+                log.broadcast(MessageKind.STREAM_START)
             return eq, trace
 
         if crossed:
@@ -442,10 +414,8 @@ def replay(trace: ProtocolTrace, game: GameInstance) -> bool:
     the protocol rule (the solved price for direct, stepping with recorded
     refinements for bargaining).
     """
-    roster = game.sorted_by_priority()
-
     def demands_match(r):
-        demands, total = _round_demands(roster, r.price)
+        demands, total = _round_demands(game, r.price)
         return r.demands == demands and r.total == total
 
     if trace.protocol == "direct":

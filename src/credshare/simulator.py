@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .model import UPLOADER_ID, Equilibrium, GameInstance, PeerProfile
+from .model import UPLOADER_ID, Equilibrium, GameInstance, PeerProfile, _require_finite
 from .solver import solve
 
 INFINITY = float("inf")
@@ -38,7 +38,9 @@ class ScenarioEvent:
     duration: float = 1.0                # settle; recorded, not scaled
 
     def __post_init__(self):
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", _require_finite("event time", self.time))
+        object.__setattr__(self, "duration",
+                           _require_finite("settle duration", self.duration))
         if self.time < 0:
             raise ValidationError(f"event time must be >= 0, got {self.time}")
         if self.kind is EventKind.JOIN:
@@ -224,7 +226,7 @@ def run_scenario(uploader_capacity: float,
     no peers are present). The final epoch is closed at +inf. Zero-length
     epochs created by same-time events are dropped.
     """
-    uploader_capacity = float(uploader_capacity)
+    uploader_capacity = _require_finite("uploader_capacity", uploader_capacity)
     if uploader_capacity <= 0:
         raise ValidationError("uploader_capacity must be > 0")
     events = list(events)

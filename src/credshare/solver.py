@@ -20,6 +20,10 @@ structure is an inspection utility, not part of the solve path. Where
 demand is flat at exactly the capacity (a plateau), the supremum price of
 the plateau is returned, since revenue mu * u_k rises with mu along it.
 
+Every sum is taken in the game's priority order
+(GameInstance.sorted_by_priority), so the price, the revenue and the
+region label do not depend on the order the peers are listed in.
+
 Closed forms for special structures (two peers, the all-interior balance
 region, a fully interleaved threshold order) are provided as independently
 testable entry points and must agree with solve() on their domains.
@@ -72,22 +76,17 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def _credited(peers):
-    return [p for p in peers if p.credits > 0]
-
-
-def _region(game: GameInstance, responses) -> RegionLabel:
-    """Capacity regime from every peer's response, given in game order."""
-    credited = [(p, x) for p, x in zip(game.peers, responses) if p.credits > 0]
+def _region(game: GameInstance, amounts, total: float) -> RegionLabel:
+    """Capacity regime from every peer's response and their priority-order total."""
+    credited = [p for p in game.peers if p.credits > 0]
     if not credited:
         return RegionLabel.INSUFFICIENT
-    # summed in game order: another order can move the last bit of the total
-    if (all(x == p.capacity for p, x in credited)
-            and sum(responses) <= game.uploader_capacity):
+    if (all(amounts[p.id] == p.capacity for p in credited)
+            and total <= game.uploader_capacity):
         return RegionLabel.SATURATED
-    if any(x == 0.0 for x in responses):
+    if any(x == 0.0 for x in amounts.values()):
         return RegionLabel.INSUFFICIENT
-    if any(x == p.capacity for p, x in zip(game.peers, responses)):
+    if any(amounts[p.id] == p.capacity for p in game.peers):
         return RegionLabel.SUFFICIENT
     return RegionLabel.BALANCE
 
@@ -99,20 +98,18 @@ def classify_region(game: GameInstance, price: float) -> RegionLabel:
     it. Insufficient: someone (including free riders) is priced out.
     Sufficient: someone is at capacity. Balance: everyone strictly interior.
     """
-    return _region(game, [best_response(p, price) for p in game.peers])
+    return equilibrium_at(game, price).region
 
 
-def equilibrium_at(game: GameInstance, price: float,
-                   region: Optional[RegionLabel] = None) -> Equilibrium:
+def equilibrium_at(game: GameInstance, price: float) -> Equilibrium:
     """The equilibrium the posted price induces: every peer best-responds.
 
     Each peer's response is computed once. The allocation and utilities are
-    keyed in game order; the revenue is summed in priority order, so it does
-    not depend on the order the peers are listed in. `region` overrides the
-    label classify_region would give.
+    keyed in game order; the total behind the revenue and the region label
+    is summed in priority order, so neither depends on the order the peers
+    are listed in.
     """
-    responses = [best_response(p, price) for p in game.peers]
-    amounts = {p.id: x for p, x in zip(game.peers, responses)}
+    amounts = {p.id: best_response(p, price) for p in game.peers}
     total = 0.0
     for p in game.sorted_by_priority():
         total += amounts[p.id]
@@ -121,10 +118,9 @@ def equilibrium_at(game: GameInstance, price: float,
         allocation=Allocation(amounts),
         revenue=price * total,
         utilities={
-            p.id: downloader_utility(p, x, price)
-            for p, x in zip(game.peers, responses)
+            p.id: downloader_utility(p, amounts[p.id], price) for p in game.peers
         },
-        region=region if region is not None else _region(game, responses),
+        region=_region(game, amounts, total),
     )
 
 
@@ -137,19 +133,17 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     full capacity. Games with no credits at all get a unit price, an empty
     allocation, and the insufficient label.
     """
-    canonical = GameInstance(game.uploader_capacity, game.sorted_by_priority())
     u_k = game.uploader_capacity
-    credited = _credited(canonical.peers)
+    credited = [p for p in game.sorted_by_priority() if p.credits > 0]
 
     if not credited:
         return equilibrium_at(game, 1.0)
 
-    credited_capacity = sum(p.capacity for p in credited)
+    # every credited peer buys its full capacity up to the lowest saturation price
+    saturated_price = min(p.saturation_price for p in credited)
+    credited_capacity = aggregate_demand(game, saturated_price)
     if credited_capacity <= u_k:
-        price = min(p.saturation_price for p in credited)
-        # labelled here: summed in game order, the capacities could exceed
-        # u_k by a rounding step and lose the saturated label
-        return equilibrium_at(game, price, RegionLabel.SATURATED)
+        return equilibrium_at(game, saturated_price)
 
     # Segments (breakpoints[j-1], breakpoints[j]], scanned from the top.
     # Demand at the top cutoff is 0 in theory and taken as 0.0, so every
@@ -162,7 +156,7 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     hi_val = 0.0
     for j in range(len(breakpoints) - 1, -1, -1):
         top = breakpoints[j]
-        lo_val = (aggregate_demand(canonical, breakpoints[j - 1]) if j
+        lo_val = (aggregate_demand(game, breakpoints[j - 1]) if j
                   else credited_capacity)
         if hi_val == u_k == lo_val:
             price = top  # plateau: the supremum price of the flat stretch
@@ -183,7 +177,7 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
             break
         hi_val = lo_val
 
-    residual = abs(aggregate_demand(canonical, price) - u_k)
+    residual = abs(aggregate_demand(game, price) - u_k)
     if residual > config.residual_tolerance * max(1.0, abs(u_k)):
         raise RuntimeError(
             f"solver residual {residual} exceeds tolerance at price {price}"

@@ -230,6 +230,40 @@ def test_bargain_round_one_overshoot_exits_2(tiny_capacity_file):
     assert "bargain: round 1: demand" in run.stderr
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "nan"), ("--initial-price", "inf"), ("--initial-price", "nan"),
+    ("--epsilon", "nan"), ("--epsilon", "inf"),
+])
+def test_bargain_rejects_non_finite_knobs(instance_file, flag, value, capsys):
+    assert main(["bargain", instance_file, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "must be a finite number" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, document", [
+    ("solve", '{"uploader_capacity": "abc", '
+              '"peers": [{"id": "a", "credits": 1, "capacity": 1}]}'),
+    ("solve", '{"uploader_capacity": 1, '
+              '"peers": [{"id": "a", "credits": null, "capacity": 1}]}'),
+    ("simulate", '{"uploader_capacity": 1, "events": [{"time": "x", "kind": "join", '
+                 '"peer": {"id": "a", "credits": 1, "capacity": 1}}]}'),
+    ("simulate", '{"uploader_capacity": 1, "events": '
+                 '[{"time": 1, "kind": "settle", "duration": "x"}]}'),
+    ("simulate", '{"uploader_capacity": NaN, "events": []}'),
+    ("simulate", '{"uploader_capacity": 1, "events": [{"time": NaN, "kind": "join", '
+                 '"peer": {"id": "a", "credits": 1, "capacity": 1}}]}'),
+], ids=["capacity-abc", "credits-null", "time-x", "duration-x", "capacity-nan",
+        "join-time-nan"])
+def test_malformed_numbers_exit_1(tmp_path, command, document):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    run = _run_cli(command, str(path))
+    assert run.returncode == 1, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("credshare: ")
+
+
 def test_simulate_timeline_and_ledger(scenario_file, capsys):
     assert main(["simulate", scenario_file]) == 0
     out = capsys.readouterr().out

@@ -259,7 +259,8 @@ def test_curve_saturates_low_and_vanishes_high():
     for _ in range(50):
         game = random_oversubscribed(rng)
         curve = build_demand_curve(game)
-        total = sum(p.capacity for p in game.peers if p.credits > 0)
+        # summed in priority order, the order every demand total uses
+        total = sum(p.capacity for p in game.sorted_by_priority() if p.credits > 0)
         assert curve.demand_at(curve.breakpoints[0]) == total
         assert curve.demand_at(curve.breakpoints[-1] * (1 + 1e-12)) == 0.0
 

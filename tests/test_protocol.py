@@ -205,6 +205,11 @@ def test_bargaining_initial_price_below_market_rejected(example4_game):
         {"tolerance": 0.0},
         {"max_rounds": 0},
         {"max_refinements": -1},
+        {"step": math.nan},
+        {"tolerance": math.nan},
+        {"tolerance": math.inf},
+        {"initial_price": math.inf},
+        {"initial_price": math.nan},
     ],
 )
 def test_bargain_config_field_validation(kwargs):

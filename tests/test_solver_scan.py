@@ -1,13 +1,15 @@
 """solve()'s top-down breakpoint scan against the curve-based bracket step
 it replaced, plus seeded property loops over the clearing price."""
 
+import itertools
 import random
 
 import pytest
 
 import credshare.model
 import credshare.solver
-from credshare import GameInstance, PeerProfile, ValidationError, solve
+from credshare import (GameInstance, PeerProfile, RegionLabel, ValidationError,
+                       classify_region, solve)
 from credshare.model import ACT, LN2, SAT, build_demand_curve
 
 from conftest import make_game, random_oversubscribed
@@ -151,18 +153,55 @@ def test_solve_does_not_build_the_demand_curve(monkeypatch, example4_game):
 
 # --- properties, as seeded loops ----------------------------------------------
 
+def _exact_sum_game(rng):
+    """A game with zero-credit peers and decimal capacities whose sum rounds
+    differently in different orders; the uploader's capacity is the credited
+    peers' capacities added up in a random listing order."""
+    peers = []
+    for i in range(rng.randint(2, 7)):
+        d = rng.choice((0.1, 0.2, 0.3, 0.7, rng.uniform(0.1, 5.0)))
+        credits = 0.0 if rng.random() < 0.15 else 10.0 ** rng.uniform(-1.0, 4.0) * d
+        peers.append(PeerProfile(f"p{i}", credits, d))
+    credited = [p for p in peers if p.credits > 0]
+    rng.shuffle(credited)
+    u_k = 0.0
+    for p in credited:
+        u_k += p.capacity
+    return GameInstance(max(u_k, 1e-3), peers)
+
+
+def _outcome(game):
+    """Everything solve() and classify_region report, in bits, keyed by id."""
+    eq = solve(game)
+    return (eq.price.hex(), eq.revenue.hex(), eq.region,
+            {pid: x.hex() for pid, x in eq.allocation.items()},
+            {pid: u.hex() for pid, u in eq.utilities.items()},
+            [classify_region(game, mu) for mu in (eq.price, 0.5 * eq.price, 2.0 * eq.price)])
+
+
 def test_permuting_peers_keeps_price_and_revenue_bits():
     rng = random.Random(17)
     for draw in range(1500):
-        game = (_plateau_prone_game(rng) if draw % 2
-                else random_oversubscribed(rng, max_peers=8))
-        eq = solve(game)
+        game = (_plateau_prone_game(rng), random_oversubscribed(rng, max_peers=8),
+                _exact_sum_game(rng))[draw % 3]
+        expected = _outcome(game)
         peers = list(game.peers)
         for _ in range(3):
             rng.shuffle(peers)
-            shuffled = solve(GameInstance(game.uploader_capacity, peers))
-            assert shuffled.price.hex() == eq.price.hex()
-            assert shuffled.revenue.hex() == eq.revenue.hex()
+            assert _outcome(GameInstance(game.uploader_capacity, peers)) == expected, game
+
+
+def test_listing_order_does_not_move_the_saturated_label():
+    # listed p0, p1, p2 the capacities add up to exactly 0.6; in priority
+    # order (p2, p1, p0) they add up to 0.6000000000000001
+    peers = [PeerProfile("p0", 300.0, 0.2), PeerProfile("p1", 463.0, 0.3),
+             PeerProfile("p2", 350.0, 0.1)]
+    for order in itertools.permutations(peers):
+        game = GameInstance(0.6, order)
+        eq = solve(game)
+        assert eq.price == 1082.0212806667225
+        assert eq.region is RegionLabel.SUFFICIENT
+        assert classify_region(game, eq.price) is RegionLabel.SUFFICIENT
 
 
 def test_price_does_not_rise_with_capacity():
