@@ -16,12 +16,12 @@ from .experiments import (
     EXAMPLE_NAMES,
     PRICE_SWEEP_STEPS,
     capacity_sweep,
+    cross_check,
     price_sweep,
     run_example,
 )
 from .formatting import format_sig
 from .interchange import load_instance, load_scenario
-from .oracle import GridSpec, grid_search_price, revenue_agreement
 from .protocol import BargainConfig, run_bargaining
 from .simulator import ledger_csv, run_scenario
 from .solver import solve
@@ -49,9 +49,7 @@ def _solve_report(game, oracle: bool) -> str:
         f"total_allocation: {format_sig(eq.total_allocation)}",
     ]
     if oracle:
-        spec = GridSpec.for_game(game)
-        oracle_price, oracle_revenue = grid_search_price(game, spec)
-        agrees = revenue_agreement(game, eq.revenue, oracle_revenue, spec)
+        oracle_price, oracle_revenue, agrees = cross_check(game, eq.revenue)
         lines.append(f"oracle_price: {format_sig(oracle_price)}")
         lines.append(f"oracle_revenue: {format_sig(oracle_revenue)}")
         lines.append(f"oracle_agrees: {'yes' if agrees else 'no'}")

@@ -13,13 +13,16 @@ as golden files:
   joining at t = 20, 40, 60, 80 s; churn timeline plus ledger.
 * example5: the same four peers joining at t = 20 s and leaving one by one
   (peer4 at 40, peer3 at 60, peer2 at 80); the mirror image of example4.
+
+Every --oracle cross-check (solve, the capacity sweep and the churn
+timeline) goes through cross_check.
 """
 
 from typing import List, Optional, Tuple
 
 from .errors import ValidationError
 from .formatting import csv_text
-from .model import GameInstance, PeerProfile, best_response
+from .model import GameInstance, PeerProfile, demands_at
 from .oracle import GridSpec, grid_search_price, revenue_agreement
 from .simulator import EventKind, ScenarioEvent, ledger_csv, run_scenario
 from .solver import solve
@@ -65,25 +68,25 @@ def example_scenario(name: str) -> Tuple[float, Tuple[ScenarioEvent, ...]]:
     raise ValidationError(f"no scenario form for {name!r}")
 
 
-def default_price_window(game: GameInstance) -> Tuple[float, float]:
-    """Half the lowest demand breakpoint (the smallest saturation price of a
-    credited peer) up to 1.1x the highest (the largest cutoff price)."""
-    credited = [p for p in game.peers if p.credits > 0]
-    if not credited:
-        raise ValidationError("no credited peers; the demand curve is empty")
-    lowest = min(p.saturation_price for p in credited)
-    highest = max(p.cutoff_price for p in credited)
-    return 0.5 * lowest, 1.1 * highest
+def cross_check(game: GameInstance, revenue: float) -> Tuple[float, float, bool]:
+    """The grid oracle's best price and revenue on the game, and whether
+    `revenue` agrees with that revenue within one grid cell."""
+    spec = GridSpec.for_game(game)
+    oracle_price, oracle_revenue = grid_search_price(game, spec)
+    return (oracle_price, oracle_revenue,
+            revenue_agreement(game, revenue, oracle_revenue, spec))
 
 
 def price_sweep(game: GameInstance, lo: Optional[float] = None,
                 hi: Optional[float] = None,
                 steps: int = PRICE_SWEEP_STEPS) -> str:
-    """Per-peer demand at each grid price, as CSV."""
+    """Per-peer demand and its priority-order total at each grid price, as
+    CSV; by default from half the saturation floor to 1.1x the market top."""
     if lo is None or hi is None:
-        d_lo, d_hi = default_price_window(game)
-        lo = d_lo if lo is None else lo
-        hi = d_hi if hi is None else hi
+        if not game.credited():
+            raise ValidationError("no credited peers; the demand curve is empty")
+        lo = 0.5 * game.saturation_floor if lo is None else lo
+        hi = 1.1 * game.market_top if hi is None else hi
     if not (0 < lo < hi):
         raise ValidationError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     if steps < 1:
@@ -93,8 +96,8 @@ def price_sweep(game: GameInstance, lo: Optional[float] = None,
     span = hi - lo
     for k in range(steps + 1):
         price = lo + span * k / steps
-        xs = [best_response(p, price) for p in game.peers]
-        rows.append((price, *xs, sum(xs)))
+        demands, total = demands_at(game, price)
+        rows.append((price, *(demands[p.id] for p in game.peers), total))
     return csv_text(header, rows)
 
 
@@ -124,9 +127,7 @@ def capacity_sweep(game: GameInstance, lo: float = 0.0,
         eq = solve(inst)
         row = [u_k, eq.price, *(eq.allocation[p.id] for p in game.peers)]
         if oracle:
-            spec = GridSpec.for_game(inst)
-            oracle_price, oracle_revenue = grid_search_price(inst, spec)
-            agrees = revenue_agreement(inst, eq.revenue, oracle_revenue, spec)
+            oracle_price, _, agrees = cross_check(inst, eq.revenue)
             row += [oracle_price, "yes" if agrees else "no"]
         rows.append(tuple(row))
     return csv_text(tuple(header), rows)

@@ -10,9 +10,9 @@ inverts the one segment that brackets the capacity. DemandCurve materializes
 every segment, for inspection only.
 
 A game owns one priority order of its peers (ratio descending, id
-ascending on ties), computed once. Every demand total is summed in that
-order, so no total, price or region label depends on the order in which
-the peers are listed.
+ascending on ties) and the market window read off it, both computed once.
+Every demand total, demands_at's included, is summed in that order, so no
+total, price or region label depends on the order the peers are listed in.
 
 Threshold values are computed once per peer from the priority ratio
 h = c/d (cutoff = h/ln2, saturation = cutoff/2, exact halving) so equal
@@ -21,10 +21,11 @@ comparison elsewhere in the package uses these stored values.
 """
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import ValidationError
 
@@ -40,11 +41,15 @@ ZERO = 2  # price above cutoff (or no credits): demands nothing
 
 
 def _require_finite(name, value):
-    """value as a finite float, or ValidationError."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
+    """value as a finite float, or ValidationError. Only real numbers count:
+    neither booleans nor numeric strings do."""
+    number = math.nan
+    # float and int first: the abstract numbers.Real check is ten times slower
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return number
@@ -52,7 +57,10 @@ def _require_finite(name, value):
 
 @dataclass(frozen=True)
 class PeerProfile:
-    """A downloader: identity, credit balance, and download capacity."""
+    """A downloader: identity, credit balance, and download capacity.
+
+    The id may not be the uploader's; a credited peer's thresholds must be
+    positive and finite."""
 
     id: str
     credits: float
@@ -64,6 +72,8 @@ class PeerProfile:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("peer id must be a non-empty string")
+        if self.id == UPLOADER_ID:
+            raise ValidationError(f"peer id {UPLOADER_ID!r} is reserved for the uploader")
         object.__setattr__(self, "credits", _require_finite("credits", self.credits))
         object.__setattr__(self, "capacity", _require_finite("capacity", self.capacity))
         if self.credits < 0:
@@ -72,18 +82,27 @@ class PeerProfile:
             raise ValidationError(f"capacity must be > 0, got {self.capacity}")
         ratio = self.credits / self.capacity
         cutoff = ratio / LN2
+        saturation = 0.5 * cutoff
+        if self.credits > 0 and not (saturation > 0.0 and cutoff < math.inf):
+            raise ValidationError(f"peer {self.id!r}: threshold prices [{saturation}, "
+                                  f"{cutoff}] outside the positive, finite range")
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "cutoff_price", cutoff)
-        object.__setattr__(self, "saturation_price", 0.5 * cutoff)
+        object.__setattr__(self, "saturation_price", saturation)
 
 
 @dataclass(frozen=True)
 class GameInstance:
-    """One pricing round: an uploader's capacity and its request set."""
+    """One pricing round: an uploader's capacity and its request set, and
+    its market window, from saturation_floor (the lowest saturation price of
+    a credited peer; None without one) up to market_top (the top cutoff)."""
 
     uploader_capacity: float
     peers: tuple
+    market_top: float = field(init=False, repr=False, compare=False)
+    saturation_floor: Optional[float] = field(init=False, repr=False, compare=False)
     _priority: tuple = field(init=False, repr=False, compare=False)
+    _credited: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "uploader_capacity",
@@ -102,8 +121,15 @@ class GameInstance:
             if peer.id in seen:
                 raise ValidationError(f"duplicate peer id {peer.id!r}")
             seen.add(peer.id)
-        object.__setattr__(self, "_priority",
-                           tuple(sorted(self.peers, key=lambda p: (-p.ratio, p.id))))
+        priority = tuple(sorted(self.peers, key=lambda p: (-p.ratio, p.id)))
+        # a credited peer's ratio is > 0 and a free rider's 0.0, so the credited
+        # peers are the prefix of the priority order with -ratio below 0.0
+        credited = priority[:bisect_left(priority, 0.0, key=lambda p: -p.ratio)]
+        object.__setattr__(self, "_priority", priority)
+        object.__setattr__(self, "_credited", credited)
+        object.__setattr__(self, "market_top", priority[0].cutoff_price)
+        object.__setattr__(self, "saturation_floor",
+                           credited[-1].saturation_price if credited else None)
 
     @property
     def total_capacity(self):
@@ -126,6 +152,10 @@ class GameInstance:
         The order every demand total is summed in.
         """
         return self._priority
+
+    def credited(self):
+        """The peers with credits, in priority order."""
+        return self._credited
 
 
 @dataclass(frozen=True)
@@ -223,6 +253,18 @@ def aggregate_demand(game: GameInstance, price: float) -> float:
     return total
 
 
+def demands_at(game: GameInstance, price: float):
+    """Every peer's demand at a price, keyed in priority order, and their
+    total summed in that order (bitwise equal to aggregate_demand)."""
+    demands = {}
+    total = 0.0
+    for p in game.sorted_by_priority():
+        x = best_response(p, price)
+        demands[p.id] = x
+        total += x
+    return demands, total
+
+
 @dataclass(frozen=True)
 class DemandSegment:
     """One maximal price interval (lo, hi] with a fixed peer classification."""
@@ -278,12 +320,8 @@ def build_demand_curve(game: GameInstance) -> DemandCurve:
     thresholds (tied priority ratios) merge into a single breakpoint.
     """
     peers = game.sorted_by_priority()
-    thresholds = set()
-    for p in peers:
-        if p.credits > 0:
-            thresholds.add(p.saturation_price)
-            thresholds.add(p.cutoff_price)
-    breakpoints = tuple(sorted(thresholds))
+    breakpoints = tuple(sorted({t for p in game.credited()
+                                for t in (p.saturation_price, p.cutoff_price)}))
 
     segments = []
     bounds = [0.0, *breakpoints, math.inf]

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import OracleError, ValidationError
 from .model import LN2, GameInstance, PeerProfile
 
-DEFAULT_RESOLUTION_FRACTION = 1e-4
+RESOLUTION_FRACTION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,15 @@ class GridSpec:
             raise ValidationError(f"resolution must be > 0, got {self.resolution}")
 
     @classmethod
-    def for_game(cls, game: GameInstance,
-                 fraction: float = DEFAULT_RESOLUTION_FRACTION) -> "GridSpec":
-        """Window from half the lowest saturation price up to the top cutoff."""
-        credited = [p for p in game.peers if p.credits > 0]
-        if not credited:
+    def for_game(cls, game: GameInstance) -> "GridSpec":
+        """Window from half the saturation floor up to the market top."""
+        if not game.credited():
             raise ValidationError("grid window undefined without credited peers")
-        price_min = 0.5 * min(p.saturation_price for p in credited)
-        price_max = max(p.cutoff_price for p in credited)
+        price_min = 0.5 * game.saturation_floor
+        price_max = game.market_top
         if price_min <= 0:
             price_min = price_max * 1e-6
-        return cls(price_min, price_max, fraction * (price_max - price_min))
+        return cls(price_min, price_max, RESOLUTION_FRACTION * (price_max - price_min))
 
     def prices(self) -> np.ndarray:
         count = int(math.floor((self.price_max - self.price_min) / self.resolution)) + 1

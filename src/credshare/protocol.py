@@ -27,6 +27,7 @@ shuffles them) only when log_messages is on.
 """
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,7 +35,7 @@ from typing import Callable, List, Mapping, Optional, Tuple
 
 from .errors import ConvergenceError, ProtocolAbort, ValidationError
 from .model import (UPLOADER_ID, Equilibrium, GameInstance, PeerProfile,
-                    _require_finite, best_response)
+                    _require_finite, best_response, demands_at)
 # classify_region is not called here: perfbench/tracing.py wraps it as an attribute
 from .solver import classify_region, equilibrium_at, solve  # noqa: F401
 
@@ -66,7 +67,8 @@ class BargainConfig:
 
     initial_price None means "just above the market": the largest cutoff
     price over the request set, where demand is exactly zero. The step,
-    the tolerance and a given initial price must be finite. The step and
+    the tolerance and a given initial price must be finite; max_rounds and
+    max_refinements must be integers. The step and
     tolerance defaults suit desk-scale games like the built-in experiments.
     """
 
@@ -86,6 +88,10 @@ class BargainConfig:
             raise ValidationError(f"step must be > 0, got {self.step}")
         if self.tolerance <= 0:
             raise ValidationError(f"tolerance must be > 0, got {self.tolerance}")
+        for name in ("max_rounds", "max_refinements"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.max_rounds < 1:
             raise ValidationError("max_rounds must be >= 1")
         if self.max_refinements < 0:
@@ -182,11 +188,6 @@ class _Session:
         )
 
 
-def _check_ids(game: GameInstance):
-    if any(p.id == UPLOADER_ID for p in game.peers):
-        raise ValidationError(f"peer id {UPLOADER_ID!r} is reserved for the uploader")
-
-
 def run_direct(game: GameInstance, seed: int = 0,
                misreport: Optional[Mapping[str, Callable[[float], float]]] = None,
                ) -> Tuple[Equilibrium, ProtocolTrace]:
@@ -197,7 +198,6 @@ def run_direct(game: GameInstance, seed: int = 0,
     reply disagrees with the reported profile's best response (misreporting
     downloader), or when the equilibrium price draws no demand at all.
     """
-    _check_ids(game)
     trace = ProtocolTrace(protocol="direct")
     session = _Session(game, seed, trace.messages)
     misreport = misreport or {}
@@ -233,7 +233,7 @@ def run_direct(game: GameInstance, seed: int = 0,
             trace.diagnostics.append(diag)
             raise ProtocolAbort(diag, trace)
     # every reply equals its best response, so the checked demands are these
-    demands, total = _round_demands(reported, eq.price)
+    demands, total = demands_at(reported, eq.price)
 
     trace.rounds.append(TraceRound(index=1, price=eq.price, demands=demands,
                                    total=total, accepted=True))
@@ -250,25 +250,13 @@ def run_direct(game: GameInstance, seed: int = 0,
     return eq, trace
 
 
-def _round_demands(game: GameInstance, price: float):
-    """One round's demands and their total, in the game's priority order."""
-    demands = {}
-    total = 0.0
-    for p in game.sorted_by_priority():
-        x = best_response(p, price)
-        demands[p.id] = x
-        total += x
-    return demands, total
-
-
-def _refusal(game: GameInstance, cfg: BargainConfig, mu0: float,
-             min_saturation: float) -> Optional[str]:
+def _refusal(game: GameInstance, cfg: BargainConfig, mu0: float) -> Optional[str]:
     """The diagnostic for a walk that cannot end within cfg.max_rounds, or None.
 
     `floor` lies at or below every price the first max_rounds rounds reach,
     and the one after them. Float demand does not rise with the price, so
     if the round sum at `floor` is still below capacity, `floor` is above
-    the smallest saturation price, and round 1 is not accepted, no round
+    the game's saturation floor, and round 1 is not accepted, no round
     can accept, overshoot, saturate or reach zero before max_rounds runs
     out: the walk would end in the max_rounds error.
     """
@@ -277,17 +265,17 @@ def _refusal(game: GameInstance, cfg: BargainConfig, mu0: float,
     # spare ulps cover the rounding of floor itself
     stride = cfg.step + 2.0 * math.ulp(mu0)
     floor = mu0 - cfg.max_rounds * stride
-    if not floor > min_saturation:  # also when floor is nan
+    if not floor > game.saturation_floor:  # also when floor is nan
         return None
-    if _round_demands(game, floor)[1] >= u_k:
+    if demands_at(game, floor)[1] >= u_k:
         return None
-    if abs(_round_demands(game, mu0)[1] - u_k) < cfg.tolerance:
+    if abs(demands_at(game, mu0)[1] - u_k) < cfg.tolerance:
         return None  # round 1 is accepted
     # no round stops above a price whose round sum is below capacity, so the
     # walk needs at least as many rounds as reaching it takes
     lowest = solve(game).price + cfg.step
-    if not (min_saturation < lowest < floor
-            and _round_demands(game, lowest)[1] < u_k):
+    if not (game.saturation_floor < lowest < floor
+            and demands_at(game, lowest)[1] < u_k):
         lowest = floor
     needed = max(int((mu0 - lowest) / stride), cfg.max_rounds + 1)
     return (f"no convergence within max_rounds={cfg.max_rounds}: demand stays "
@@ -310,22 +298,18 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     A session that provably cannot end within max_rounds raises
     ConvergenceError before its first round, with a trace of no rounds.
     """
-    _check_ids(game)
     cfg = config or BargainConfig()
-    credited = [p for p in game.peers if p.credits > 0]
-    if not credited:
+    if not game.credited():
         raise ValidationError("no credited peers; demand is identically zero")
-    market_top = max(p.cutoff_price for p in game.peers)
-    mu0 = cfg.initial_price if cfg.initial_price is not None else market_top
-    if mu0 < market_top:
+    mu0 = cfg.initial_price if cfg.initial_price is not None else game.market_top
+    if mu0 < game.market_top:
         raise ValidationError(
-            f"initial price {mu0} is below the largest cutoff {market_top}"
+            f"initial price {mu0} is below the largest cutoff {game.market_top}"
         )
-    min_saturation = min(p.saturation_price for p in credited)
     u_k = game.uploader_capacity
 
     trace = ProtocolTrace(protocol="bargaining", config=cfg)
-    diag = _refusal(game, cfg, mu0, min_saturation)
+    diag = _refusal(game, cfg, mu0)
     if diag is not None:
         trace.diagnostics.append(diag)
         raise ConvergenceError(diag, trace)
@@ -339,13 +323,13 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     prev_price = None  # last under-capacity price, the refinement anchor
 
     for round_index in range(1, cfg.max_rounds + 1):
-        demands, total = _round_demands(game, price)
+        demands, total = demands_at(game, price)
         if log is not None:
             log.round(price, round_index, demands.__getitem__)
 
         in_band = abs(total - u_k) < cfg.tolerance
         crossed = total >= u_k
-        saturated_all = price <= min_saturation
+        saturated_all = price <= game.saturation_floor
 
         if in_band and (crossed or saturated_all or round_index == 1):
             trace.rounds.append(TraceRound(round_index, price, demands, total, True))
@@ -415,7 +399,7 @@ def replay(trace: ProtocolTrace, game: GameInstance) -> bool:
     refinements for bargaining).
     """
     def demands_match(r):
-        demands, total = _round_demands(game, r.price)
+        demands, total = demands_at(game, r.price)
         return r.demands == demands and r.total == total
 
     if trace.protocol == "direct":
@@ -429,8 +413,7 @@ def replay(trace: ProtocolTrace, game: GameInstance) -> bool:
     if trace.protocol != "bargaining" or trace.config is None:
         return False
     cfg = trace.config
-    market_top = max(p.cutoff_price for p in game.peers)
-    expected = cfg.initial_price if cfg.initial_price is not None else market_top
+    expected = cfg.initial_price if cfg.initial_price is not None else game.market_top
     step = cfg.step
     refinements = {ev.round_index: ev for ev in trace.refinements}
     prev_price = None

@@ -154,29 +154,21 @@ class TimelineRecord:
         rows = []
         for ep in self.epochs:
             start, end = format_sig(ep.start), format_sig(ep.end)
-            agree = ""
-            if oracle_check and ep.equilibrium is not None and ep.game is not None:
-                from .oracle import GridSpec, grid_search_price, revenue_agreement
-
-                spec = GridSpec.for_game(ep.game)
-                _, oracle_revenue = grid_search_price(ep.game, spec)
-                close = revenue_agreement(ep.game, ep.equilibrium.revenue,
-                                          oracle_revenue, spec)
-                agree = "yes" if close else "no"
-            if ep.equilibrium is None:
-                row = [start, end, "", "", "", ""]
-                if oracle_check:
-                    row.append("")
-                rows.append(tuple(row))
-                continue
             eq = ep.equilibrium
+            agree = ()
+            if oracle_check:
+                agree = ("",)
+                if eq is not None and ep.game is not None:
+                    from .experiments import cross_check
+
+                    agree = ("yes" if cross_check(ep.game, eq.revenue)[2] else "no",)
+            if eq is None:
+                rows.append((start, end, "", "", "", "", *agree))
+                continue
             price = format_sig(eq.price)
             for peer_id in sorted(ep.peer_ids):
-                row = [start, end, price, peer_id,
-                       eq.allocation[peer_id], eq.utilities[peer_id]]
-                if oracle_check:
-                    row.append(agree)
-                rows.append(tuple(row))
+                rows.append((start, end, price, peer_id,
+                             eq.allocation[peer_id], eq.utilities[peer_id], *agree))
         header = ["epoch_start", "epoch_end", "price", "peer_id",
                   "allocation", "utility"]
         if oracle_check:
@@ -206,8 +198,6 @@ def validate_scenario(events: Sequence[ScenarioEvent]):
         last_time = ev.time
         if ev.kind is EventKind.JOIN:
             pid = ev.peer.id
-            if pid == UPLOADER_ID:
-                raise ValidationError(f"peer id {pid!r} collides with the uploader")
             if pid in present:
                 raise ValidationError(f"join of already-present peer {pid!r}")
             present.add(pid)

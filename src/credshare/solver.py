@@ -78,7 +78,7 @@ DEFAULT_CONFIG = SolverConfig()
 
 def _region(game: GameInstance, amounts, total: float) -> RegionLabel:
     """Capacity regime from every peer's response and their priority-order total."""
-    credited = [p for p in game.peers if p.credits > 0]
+    credited = game.credited()
     if not credited:
         return RegionLabel.INSUFFICIENT
     if (all(amounts[p.id] == p.capacity for p in credited)
@@ -134,13 +134,13 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     allocation, and the insufficient label.
     """
     u_k = game.uploader_capacity
-    credited = [p for p in game.sorted_by_priority() if p.credits > 0]
+    credited = game.credited()
 
     if not credited:
         return equilibrium_at(game, 1.0)
 
     # every credited peer buys its full capacity up to the lowest saturation price
-    saturated_price = min(p.saturation_price for p in credited)
+    saturated_price = game.saturation_floor
     credited_capacity = aggregate_demand(game, saturated_price)
     if credited_capacity <= u_k:
         return equilibrium_at(game, saturated_price)
@@ -329,7 +329,7 @@ def verify_se(game: GameInstance, eq: Equilibrium, samples: int,
     """
     rng = random.Random(seed)
     u_k = game.uploader_capacity
-    price_cap = 1.05 * max(p.cutoff_price for p in game.peers)
+    price_cap = 1.05 * game.market_top
     if price_cap <= 0:
         price_cap = 2.0 * eq.price
     rev_tol = 1e-9 * (1.0 + abs(eq.revenue))

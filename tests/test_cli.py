@@ -253,8 +253,14 @@ def test_bargain_rejects_non_finite_knobs(instance_file, flag, value, capsys):
     ("simulate", '{"uploader_capacity": NaN, "events": []}'),
     ("simulate", '{"uploader_capacity": 1, "events": [{"time": NaN, "kind": "join", '
                  '"peer": {"id": "a", "credits": 1, "capacity": 1}}]}'),
+    ("solve", '{"uploader_capacity": 1, '
+              '"peers": [{"id": "a", "credits": true, "capacity": 1}]}'),
+    ("solve", '{"uploader_capacity": 1, '
+              '"peers": [{"id": "a", "credits": 1, "capacity": "1.5"}]}'),
+    ("simulate", '{"uploader_capacity": 1, "events": '
+                 '[{"time": 1, "kind": "settle", "duration": true}]}'),
 ], ids=["capacity-abc", "credits-null", "time-x", "duration-x", "capacity-nan",
-        "join-time-nan"])
+        "join-time-nan", "credits-true", "capacity-str", "duration-true"])
 def test_malformed_numbers_exit_1(tmp_path, command, document):
     path = tmp_path / "doc.json"
     path.write_text(document)
@@ -353,3 +359,66 @@ def test_example_timelines_mirror_each_other(capsys):
 
 def test_unknown_example_name_exits_1(capsys):
     assert main(["example", "example9"]) == 1
+
+
+_INSTANCE = '{{"uploader_capacity": 1, "peers": [{}, {{"id": "b", "credits": 10, "capacity": 1}}]}}'
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["solve"], _INSTANCE.format('{"id": "uploader", "credits": 1, "capacity": 1}')),
+    (["bargain"], _INSTANCE.format('{"id": "uploader", "credits": 1, "capacity": 1}')),
+    (["simulate"], '{"uploader_capacity": 1, "events": [{"time": 1, "kind": "join", '
+                   '"peer": {"id": "uploader", "credits": 1, "capacity": 1}}]}'),
+], ids=["solve", "bargain", "simulate"])
+def test_reserved_uploader_id_exits_1(tmp_path, argv, document, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    assert main([*argv, str(path)]) == 1
+    assert "'uploader' is reserved" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, peer", [
+    # infinite ratio: --oracle died on a NaN grid count, the sweep printed nan
+    (["solve", "--oracle"], '{"id": "a", "credits": 1e308, "capacity": 1e-10}'),
+    (["sweep"], '{"id": "a", "credits": 1e308, "capacity": 1e-10}'),
+    # saturation price halves to 0.0: solve blamed a price of 0.0
+    (["solve"], '{"id": "a", "credits": 5e-324, "capacity": 1}'),
+], ids=["oracle-inf", "sweep-inf", "solve-subnormal"])
+def test_out_of_range_thresholds_exit_1(tmp_path, argv, peer):
+    path = tmp_path / "doc.json"
+    path.write_text(_INSTANCE.format(peer))
+    run = _run_cli(*argv, str(path))
+    assert run.returncode == 1, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("credshare: peer 'a': threshold prices")
+
+
+@pytest.mark.parametrize("credits", ["1e-320", "1e300"])
+def test_extreme_but_in_range_credits_still_solve(tmp_path, credits):
+    path = tmp_path / "doc.json"
+    path.write_text(_INSTANCE.format(f'{{"id": "a", "credits": {credits}, "capacity": 1}}'))
+    run = _run_cli("solve", str(path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("price: ")
+
+
+def test_every_oracle_flag_searches_through_experiments(monkeypatch, instance_file,
+                                                        scenario_file, capsys):
+    # the benchmark tracer counts oracle work by wrapping this attribute
+    import credshare.experiments as experiments
+
+    searches = []
+    original = experiments.grid_search_price
+
+    def counting(game, spec):
+        searches.append(spec)
+        return original(game, spec)
+
+    monkeypatch.setattr(experiments, "grid_search_price", counting)
+    assert main(["solve", instance_file, "--oracle"]) == 0
+    assert len(searches) == 1
+    assert main(["sweep", instance_file, "--sweep", "capacity", "--steps", "3",
+                 "--oracle"]) == 0
+    assert len(searches) == 4
+    assert main(["simulate", scenario_file, "--oracle"]) == 0
+    assert len(searches) == 8  # one per epoch of the four joins

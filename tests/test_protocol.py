@@ -210,6 +210,12 @@ def test_bargaining_initial_price_below_market_rejected(example4_game):
         {"tolerance": math.inf},
         {"initial_price": math.inf},
         {"initial_price": math.nan},
+        {"max_rounds": math.nan},
+        {"max_rounds": 10.5},
+        {"max_rounds": True},
+        {"max_refinements": math.nan},
+        {"max_refinements": 2.0},
+        {"max_refinements": False},
     ],
 )
 def test_bargain_config_field_validation(kwargs):

@@ -9,8 +9,8 @@ import pytest
 import credshare.model
 import credshare.solver
 from credshare import (GameInstance, PeerProfile, RegionLabel, ValidationError,
-                       classify_region, solve)
-from credshare.model import ACT, LN2, SAT, build_demand_curve
+                       aggregate_demand, classify_region, solve)
+from credshare.model import ACT, LN2, SAT, build_demand_curve, demands_at
 
 from conftest import make_game, random_oversubscribed
 
@@ -133,11 +133,10 @@ def test_tiny_capacity_brackets_the_top_segment():
 
 
 def test_underflowing_ratio_fails_with_a_validation_error():
-    # 1e-320 / 1e10 rounds to a zero ratio: both thresholds are 0.0, so the
-    # scan ends on its lowest segment and the price 0.0 is rejected
-    game = make_game(1.0, [(1e-320, 1e10), (0.0, 1.0)])
-    with pytest.raises(ValidationError, match="price must be > 0"):
-        solve(game)
+    # 1e-320 / 1e10 rounds to a zero ratio: both thresholds of a credited
+    # peer would be 0.0, so the peer is rejected before any game is priced
+    with pytest.raises(ValidationError, match="'peer1'.*positive, finite"):
+        make_game(1.0, [(1e-320, 1e10), (0.0, 1.0)])
 
 
 def test_solve_does_not_build_the_demand_curve(monkeypatch, example4_game):
@@ -170,13 +169,38 @@ def _exact_sum_game(rng):
     return GameInstance(max(u_k, 1e-3), peers)
 
 
+def _window(game):
+    """The game's market window, checked bit for bit against a brute-force
+    filter, max and min over the peers as listed."""
+    credited = [p for p in game.peers if p.credits > 0]
+    assert set(game.credited()) == set(credited)
+    assert list(game.credited()) == [p for p in game.sorted_by_priority()
+                                     if p.credits > 0]
+    top = max(p.cutoff_price for p in game.peers)
+    assert game.market_top.hex() == top.hex()
+    floor = min((p.saturation_price for p in credited), default=None)
+    assert game.saturation_floor == floor
+    return ([p.id for p in game.credited()], top.hex(),
+            None if floor is None else floor.hex())
+
+
+def _demands(game, price):
+    """demands_at in bits and listing order; its total is aggregate_demand's."""
+    demands, total = demands_at(game, price)
+    assert total.hex() == aggregate_demand(game, price).hex()
+    return [(pid, x.hex()) for pid, x in demands.items()], total.hex()
+
+
 def _outcome(game):
-    """Everything solve() and classify_region report, in bits, keyed by id."""
+    """Everything solve(), classify_region, demands_at and the market window
+    report, in bits, keyed by id."""
     eq = solve(game)
+    prices = (eq.price, 0.5 * eq.price, 2.0 * eq.price)
     return (eq.price.hex(), eq.revenue.hex(), eq.region,
             {pid: x.hex() for pid, x in eq.allocation.items()},
             {pid: u.hex() for pid, u in eq.utilities.items()},
-            [classify_region(game, mu) for mu in (eq.price, 0.5 * eq.price, 2.0 * eq.price)])
+            [classify_region(game, mu) for mu in prices],
+            [_demands(game, mu) for mu in prices], _window(game))
 
 
 def test_permuting_peers_keeps_price_and_revenue_bits():
