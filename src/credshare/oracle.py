@@ -5,16 +5,25 @@ problem (admissible iff demand fits the capacity), and a grid search over
 purchases for a single downloader's problem (raw utility, no closed form).
 Both are deliberately dumb and vectorized with numpy; they exist to catch
 mistakes in the closed forms, not to be fast paths.
+
+The price grid, its demand and its revenue depend only on the peers and the
+window, so they are kept while consecutive searches share both: a capacity
+sweep prices the grid once and redoes only the per-capacity admissibility
+test and argmax.
+
+numpy is imported inside the functions that use it, so importing this
+module (and the package, which re-exports it) does not load numpy.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .errors import OracleError, ValidationError
 from .model import LN2, GameInstance, PeerProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RESOLUTION_FRACTION = 1e-4
 
@@ -46,23 +55,52 @@ class GridSpec:
             price_min = price_max * 1e-6
         return cls(price_min, price_max, RESOLUTION_FRACTION * (price_max - price_min))
 
-    def prices(self) -> np.ndarray:
+    def prices(self) -> "np.ndarray":
+        import numpy as np
+
         count = int(math.floor((self.price_max - self.price_min) / self.resolution)) + 1
         return self.price_min + self.resolution * np.arange(count)
 
 
-def demand_on_grid(game: GameInstance, prices: np.ndarray) -> np.ndarray:
+def demand_on_grid(game: GameInstance, prices: "np.ndarray") -> "np.ndarray":
     """Vectorized total demand at each price (same piecewise rule, re-derived)."""
+    import numpy as np
+
     total = np.zeros_like(prices, dtype=float)
     for p in game.peers:
         if p.credits <= 0:
             continue
-        interior = p.credits / (prices * LN2) - p.capacity
+        # below a subnormal saturation price the quotient overflows to inf;
+        # the clip and the saturation mask turn that into the capacity
+        with np.errstate(over="ignore"):
+            interior = p.credits / (prices * LN2) - p.capacity
         x = np.clip(interior, 0.0, p.capacity)
         x = np.where(prices <= p.saturation_price, p.capacity, x)
         x = np.where(prices > p.cutoff_price, 0.0, x)
         total += x
     return total
+
+
+# (peers, spec, prices, demand, prices * demand) of the latest grid priced.
+# Every entry is a function of the key alone (peers compare by id, credits
+# and capacity, from which the thresholds derive), so a hit returns the
+# arrays a fresh computation would, bit for bit, whichever caller left them.
+_last_grid = None
+
+
+def _priced_grid(game: GameInstance, spec: GridSpec):
+    """The spec's prices, the game's demand at each and the revenue it
+    would earn, reused while consecutive calls share peers and window."""
+    global _last_grid
+    memo = _last_grid
+    if memo is None or memo[0] != game.peers or memo[1] != spec:
+        # free the old grid before pricing the new one: holding both at
+        # once raised the sweep's peak RSS
+        memo = _last_grid = None
+        prices = spec.prices()
+        demand = demand_on_grid(game, prices)
+        memo = _last_grid = (game.peers, spec, prices, demand, prices * demand)
+    return memo[2:]
 
 
 def grid_search_price(game: GameInstance,
@@ -74,17 +112,18 @@ def grid_search_price(game: GameInstance,
     contains no admissible price it is widened upward once by its own
     width; a second failure raises OracleError.
     """
+    import numpy as np
+
     if spec is None:
         spec = GridSpec.for_game(game)
     u_k = game.uploader_capacity
 
     def search(s: GridSpec):
-        prices = s.prices()
-        demand = demand_on_grid(game, prices)
+        prices, demand, earned = _priced_grid(game, s)
         admissible = demand <= u_k
         if not np.any(admissible):
             return None
-        revenue = np.where(admissible, prices * demand, -np.inf)
+        revenue = np.where(admissible, earned, -np.inf)
         best = revenue.max()
         # highest admissible price on revenue ties
         idx = np.flatnonzero(revenue == best)[-1]
@@ -132,6 +171,8 @@ def deviation_probe(peer: PeerProfile, price: float, steps: int) -> ProbeResult:
         raise ValidationError(f"price must be > 0, got {price}")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
+    import numpy as np
+
     x = np.linspace(0.0, peer.capacity, steps + 1)
     utility = peer.credits * np.log2(1.0 + x / peer.capacity) - price * x
     idx = int(np.argmax(utility))

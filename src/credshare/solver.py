@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .model import (
     LN2,
     Allocation,
@@ -132,6 +132,9 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     price, the largest price at which every credited peer still buys its
     full capacity. Games with no credits at all get a unit price, an empty
     allocation, and the insufficient label.
+
+    Raises ConvergenceError when the price misses the capacity by more than
+    the residual tolerance, as subnormal prices can.
     """
     u_k = game.uploader_capacity
     credited = game.credited()
@@ -179,7 +182,7 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
 
     residual = abs(aggregate_demand(game, price) - u_k)
     if residual > config.residual_tolerance * max(1.0, abs(u_k)):
-        raise RuntimeError(
+        raise ConvergenceError(
             f"solver residual {residual} exceeds tolerance at price {price}"
         )
     return equilibrium_at(game, price)

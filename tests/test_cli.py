@@ -208,12 +208,16 @@ def tiny_capacity_file(tmp_path):
     return str(path)
 
 
-def _run_cli(*argv):
+def _run_python(*args):
     src = Path(credshare.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "credshare", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_cli(*argv):
+    return _run_python("-m", "credshare", *argv)
 
 
 def test_solve_tiny_capacity(tiny_capacity_file):
@@ -402,23 +406,73 @@ def test_extreme_but_in_range_credits_still_solve(tmp_path, credits):
     assert run.stdout.startswith("price: ")
 
 
+# a's saturation price is subnormal, so the oracle grid starts below it
+_SUBNORMAL = ('{{"uploader_capacity": {}, "peers": [{{"id": "a", "credits": 1e-320, '
+              '"capacity": 1}}, {{"id": "b", "credits": 10, "capacity": 1}}]}}')
+
+
+@pytest.mark.parametrize("capacity", ["0.5", "1", "2.5"])
+def test_subnormal_saturation_price_solves_quietly(tmp_path, capacity):
+    # credits / price overflows to inf there: no RuntimeWarning may reach stderr
+    path = tmp_path / "doc.json"
+    path.write_text(_SUBNORMAL.format(capacity))
+    run = _run_cli("solve", str(path), "--oracle")
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert "oracle_price: " in run.stdout
+
+
+def test_subnormal_clearing_price_exits_2(tmp_path):
+    # the clearing price at 1.5 is subnormal and misses the capacity
+    path = tmp_path / "doc.json"
+    path.write_text(_SUBNORMAL.format("1.5"))
+    run = _run_cli("solve", str(path))
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("credshare: solver residual")
+    assert run.stderr.count("\n") == 1
+
+
+def test_cli_without_oracle_leaves_numpy_unloaded(instance_file):
+    run = _run_python("-c", (
+        "import sys\n"
+        "import credshare, credshare.cli\n"
+        "assert credshare.cli.main(['solve', sys.argv[1]]) == 0\n"
+        "print('numpy' in sys.modules)\n"), instance_file)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith("\nFalse\n")
+
+
 def test_every_oracle_flag_searches_through_experiments(monkeypatch, instance_file,
                                                         scenario_file, capsys):
-    # the benchmark tracer counts oracle work by wrapping this attribute
+    # the benchmark tracer counts oracle work by wrapping these attributes
     import credshare.experiments as experiments
+    import credshare.oracle as oracle
 
     searches = []
+    grids = []
     original = experiments.grid_search_price
+    original_grid = oracle.demand_on_grid
 
     def counting(game, spec):
         searches.append(spec)
         return original(game, spec)
 
+    def counting_grid(game, prices):
+        grids.append(prices.size)
+        return original_grid(game, prices)
+
     monkeypatch.setattr(experiments, "grid_search_price", counting)
+    monkeypatch.setattr(oracle, "demand_on_grid", counting_grid)
+    # each command starts from an empty grid memo, as a fresh process does
+    monkeypatch.setattr(oracle, "_last_grid", None)
     assert main(["solve", instance_file, "--oracle"]) == 0
-    assert len(searches) == 1
+    assert (len(searches), len(grids)) == (1, 1)
+    monkeypatch.setattr(oracle, "_last_grid", None)
     assert main(["sweep", instance_file, "--sweep", "capacity", "--steps", "3",
                  "--oracle"]) == 0
-    assert len(searches) == 4
+    assert (len(searches), len(grids)) == (4, 2)  # three capacities, one grid
+    monkeypatch.setattr(oracle, "_last_grid", None)
     assert main(["simulate", scenario_file, "--oracle"]) == 0
-    assert len(searches) == 8  # one per epoch of the four joins
+    # one search and one grid per epoch of the four joins
+    assert (len(searches), len(grids)) == (8, 6)

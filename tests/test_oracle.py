@@ -72,6 +72,73 @@ def test_grid_search_widens_window_upward_once(example4_game):
         grid_search_price(example4_game, GridSpec(150.0, 160.0, 0.5))
 
 
+def _searched(game, spec):
+    try:
+        price, revenue = grid_search_price(game, spec)
+    except OracleError as exc:
+        return str(exc)
+    return price.hex(), revenue.hex()
+
+
+def test_grid_memo_gives_the_cold_result(monkeypatch):
+    """The priced grid is reused while consecutive searches share peers and
+    window; interleaved peer sets (one rebuilt equal, one scaled to the same
+    window, some with zero-credit peers), capacities and windows (the default, an explicit one, one that
+    widens and one with no admissible price) agree in bits with a search
+    that starts from an empty memo."""
+    import credshare.oracle as oracle
+
+    grids = []
+    original = oracle.demand_on_grid
+
+    def counting(game, prices):
+        grids.append(prices.size)
+        return original(game, prices)
+
+    monkeypatch.setattr(oracle, "demand_on_grid", counting)
+    rng = random.Random(101)
+    peer_sets = []
+    for _ in range(4):
+        peers = list(random_oversubscribed(rng).peers)
+        if rng.random() < 0.5:
+            peers.append(PeerProfile("free", 0.0, rng.uniform(0.1, 5.0)))
+        peer_sets.append(tuple(peers))
+    peer_sets.append(tuple(PeerProfile(p.id, p.credits, p.capacity)
+                           for p in peer_sets[0]))
+    # same ratios, so the same window, but twice the demand
+    peer_sets.append(tuple(PeerProfile(p.id, 2 * p.credits, 2 * p.capacity)
+                           for p in peer_sets[0]))
+    monkeypatch.setattr(oracle, "_last_grid", None)
+    peers, kind = peer_sets[0], 0
+    hits = 0
+    for _ in range(300):
+        if rng.random() < 0.3:
+            peers = rng.choice(peer_sets)
+        if rng.random() < 0.3:
+            kind = rng.randrange(5)
+        total = sum(p.capacity for p in peers)
+        game = GameInstance(rng.uniform(0.01, 0.99) * total, peers)
+        window = GridSpec.for_game(game)
+        clearing = solve(game).price
+        spec = [
+            None,
+            window,
+            GridSpec(window.price_min, 0.5 * (window.price_min + window.price_max),
+                     0.5 * window.resolution),
+            GridSpec(0.8 * clearing, 0.99 * clearing, 1e-3 * clearing),
+            GridSpec(window.price_min, 1.001 * window.price_min,
+                     1e-5 * window.price_min),
+        ][kind]
+        before = len(grids)
+        warm = _searched(game, spec)
+        hits += len(grids) == before
+        memo = oracle._last_grid
+        oracle._last_grid = None
+        assert warm == _searched(game, spec)
+        oracle._last_grid = memo
+    assert hits >= 50  # a third of the searches reuse the previous grid
+
+
 def test_vectorized_demand_matches_scalar():
     rng = random.Random(89)
     for _ in range(20):
