@@ -7,6 +7,7 @@ protocol failure.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -146,7 +147,10 @@ def cmd_example(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and reused by every later
+    main() call in the process (each parse fills a fresh namespace)."""
     parser = _Parser(
         prog="credshare",
         description="Credit-based bandwidth pricing: solver, protocols, churn simulator.",

@@ -9,7 +9,7 @@ mistakes in the closed forms, not to be fast paths.
 The price grid, its demand and its revenue depend only on the peers and the
 window, so they are kept while consecutive searches share both: a capacity
 sweep prices the grid once and redoes only the per-capacity admissibility
-test and argmax.
+test and argmax. A widened window is kept beside the one it widens.
 
 numpy is imported inside the functions that use it, so importing this
 module (and the package, which re-exports it) does not load numpy.
@@ -81,26 +81,31 @@ def demand_on_grid(game: GameInstance, prices: "np.ndarray") -> "np.ndarray":
     return total
 
 
-# (peers, spec, prices, demand, prices * demand) of the latest grid priced.
-# Every entry is a function of the key alone (peers compare by id, credits
-# and capacity, from which the thresholds derive), so a hit returns the
-# arrays a fresh computation would, bit for bit, whichever caller left them.
+# (peers, spec, grids) of the latest search. grids maps each window the
+# search priced (the spec, and its widening once a search needs it) to
+# (prices, demand, prices * demand). Every entry is a function of the key
+# alone (peers compare by id, credits and capacity, from which the
+# thresholds derive), so a hit returns the arrays a fresh computation would,
+# bit for bit, whichever caller left them.
 _last_grid = None
 
 
-def _priced_grid(game: GameInstance, spec: GridSpec):
-    """The spec's prices, the game's demand at each and the revenue it
-    would earn, reused while consecutive calls share peers and window."""
+def _priced_grid(game: GameInstance, spec: GridSpec, window: GridSpec):
+    """The window's prices, the game's demand at each and the revenue it
+    would earn, reused while consecutive searches share peers and spec."""
     global _last_grid
     memo = _last_grid
     if memo is None or memo[0] != game.peers or memo[1] != spec:
-        # free the old grid before pricing the new one: holding both at
-        # once raised the sweep's peak RSS
-        memo = _last_grid = None
-        prices = spec.prices()
+        # drop the old grids before pricing new ones: holding both at once
+        # raised the sweep's peak RSS
+        memo = _last_grid = (game.peers, spec, {})
+    grids = memo[2]
+    grid = grids.get(window)
+    if grid is None:
+        prices = window.prices()
         demand = demand_on_grid(game, prices)
-        memo = _last_grid = (game.peers, spec, prices, demand, prices * demand)
-    return memo[2:]
+        grid = grids[window] = (prices, demand, prices * demand)
+    return grid
 
 
 def grid_search_price(game: GameInstance,
@@ -119,7 +124,7 @@ def grid_search_price(game: GameInstance,
     u_k = game.uploader_capacity
 
     def search(s: GridSpec):
-        prices, demand, earned = _priced_grid(game, s)
+        prices, demand, earned = _priced_grid(game, spec, s)
         admissible = demand <= u_k
         if not np.any(admissible):
             return None

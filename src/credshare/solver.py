@@ -20,6 +20,13 @@ structure is an inspection utility, not part of the solve path. Where
 demand is flat at exactly the capacity (a plateau), the supremum price of
 the plateau is returned, since revenue mu * u_k rises with mu along it.
 
+The sorted breakpoints and the demand at each depend only on the peers, so
+they are kept while consecutive solves share the peers, with each demand
+summed the first time a scan reads it: a capacity sweep sorts its
+breakpoints once and sums each breakpoint's demand once, and redoes only
+the scan's comparisons, the inversion and the residual check at each
+capacity.
+
 Every sum is taken in the game's priority order
 (GameInstance.sorted_by_priority), so the price, the revenue and the
 region label do not depend on the order the peers are listed in.
@@ -124,6 +131,36 @@ def equilibrium_at(game: GameInstance, price: float) -> Equilibrium:
     )
 
 
+# (peers, sorted distinct breakpoints, demand at each) of the latest game
+# solved past its no-credit check; a demand entry is None until a scan reads
+# it. Every entry is a function of the peers alone (peers compare by id,
+# credits and capacity, from which the thresholds and the priority order
+# derive), so a hit gives the values a fresh sum would, bit for bit.
+_last_table = None
+
+
+def _breakpoint_table(game: GameInstance):
+    """The credited peers' sorted distinct thresholds and the demand list
+    aligned with them, kept while consecutive solves share the peers."""
+    global _last_table
+    table = _last_table
+    if table is None or (table[0] is not game.peers and table[0] != game.peers):
+        # free the old table before building the new one
+        table = _last_table = None
+        breakpoints = sorted({t for p in game.credited()
+                              for t in (p.saturation_price, p.cutoff_price)})
+        table = _last_table = (game.peers, breakpoints, [None] * len(breakpoints))
+    return table[1], table[2]
+
+
+def _demand_at(game: GameInstance, breakpoints, demand, i: int) -> float:
+    """aggregate_demand at breakpoints[i], summed the first time it is read."""
+    value = demand[i]
+    if value is None:
+        value = demand[i] = aggregate_demand(game, breakpoints[i])
+    return value
+
+
 def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibrium:
     """Compute the clearing price and the equilibrium it induces.
 
@@ -142,11 +179,12 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     if not credited:
         return equilibrium_at(game, 1.0)
 
-    # every credited peer buys its full capacity up to the lowest saturation price
-    saturated_price = game.saturation_floor
-    credited_capacity = aggregate_demand(game, saturated_price)
+    # every credited peer buys its full capacity up to the lowest saturation
+    # price, which is the lowest breakpoint
+    breakpoints, demand = _breakpoint_table(game)
+    credited_capacity = _demand_at(game, breakpoints, demand, 0)
     if credited_capacity <= u_k:
-        return equilibrium_at(game, saturated_price)
+        return equilibrium_at(game, game.saturation_floor)
 
     # Segments (breakpoints[j-1], breakpoints[j]], scanned from the top.
     # Demand at the top cutoff is 0 in theory and taken as 0.0, so every
@@ -154,12 +192,10 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     # demands more brackets it. Float demand never rises with the price, so
     # no lower segment brackets it again; the lowest segment's lower end
     # demands credited_capacity > u_k, so the scan always stops.
-    breakpoints = sorted({t for p in credited
-                          for t in (p.saturation_price, p.cutoff_price)})
     hi_val = 0.0
     for j in range(len(breakpoints) - 1, -1, -1):
         top = breakpoints[j]
-        lo_val = (aggregate_demand(game, breakpoints[j - 1]) if j
+        lo_val = (_demand_at(game, breakpoints, demand, j - 1) if j
                   else credited_capacity)
         if hi_val == u_k == lo_val:
             price = top  # plateau: the supremum price of the flat stretch

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import credshare.oracle
+import credshare.solver
 from credshare import GameInstance, PeerProfile
 
 EXAMPLE4_CREDITS = (400.0, 300.0, 200.0, 100.0)
@@ -14,6 +16,15 @@ def make_game(uploader_capacity, specs):
         PeerProfile(f"peer{i}", c, d) for i, (c, d) in enumerate(specs, start=1)
     ]
     return GameInstance(uploader_capacity, peers)
+
+
+@pytest.fixture(autouse=True)
+def empty_memos(monkeypatch):
+    """Start every test from empty one-slot memos (the solver's breakpoint
+    table and the oracle's priced grid), as a fresh process does, so that no
+    test runs warm or cold depending on which test ran before it."""
+    monkeypatch.setattr(credshare.solver, "_last_table", None)
+    monkeypatch.setattr(credshare.oracle, "_last_grid", None)
 
 
 @pytest.fixture

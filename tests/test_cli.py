@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import credshare
-from credshare.cli import main
+from credshare.cli import build_parser, main
 from credshare.experiments import example_game, example_scenario
 from credshare.interchange import save_instance, save_scenario
 from credshare.model import LN2
@@ -441,6 +441,28 @@ def test_cli_without_oracle_leaves_numpy_unloaded(instance_file):
         "print('numpy' in sys.modules)\n"), instance_file)
     assert run.returncode == 0, run.stderr
     assert run.stdout.endswith("\nFalse\n")
+
+
+def test_consecutive_main_calls_match_fresh_runs(instance_file, capsys):
+    # main() reuses one parser per process; no flag of one call may leak
+    # into the next
+    calls = [
+        ("solve", instance_file, "--oracle"),
+        ("solve", instance_file),
+        ("bargain", instance_file, "--step", "1"),
+        ("solve", instance_file, "--steps", "3"),
+        ("sweep", instance_file, "--sweep", "capacity"),
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(list(argv))
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 1, 0]
+    assert build_parser() is build_parser()
+    for argv, result in zip(calls, in_process):
+        run = _run_cli(*argv)
+        assert result == (run.returncode, run.stdout, run.stderr), argv
 
 
 def test_every_oracle_flag_searches_through_experiments(monkeypatch, instance_file,

@@ -80,6 +80,34 @@ def _searched(game, spec):
     return price.hex(), revenue.hex()
 
 
+@pytest.mark.parametrize("spec, expected", [
+    # widens once, then finds the price in the widened window
+    (GridSpec(150.0, 180.0, 0.5), (206.5, 410.19504088896355)),
+    # the widened window is still short of admissibility
+    (GridSpec(150.0, 160.0, 0.5),
+     "no admissible price in [150.0, 160.0] or the widened window"),
+])
+def test_repeated_widening_search_prices_each_window_once(monkeypatch, example4_game,
+                                                          spec, expected):
+    import credshare.oracle as oracle
+
+    grids = []
+    original = oracle.demand_on_grid
+
+    def counting(game, prices):
+        grids.append(prices.size)
+        return original(game, prices)
+
+    monkeypatch.setattr(oracle, "demand_on_grid", counting)
+    for _ in range(3):
+        try:
+            found = grid_search_price(example4_game, spec)
+        except OracleError as exc:
+            found = str(exc)
+        assert found == expected
+    assert len(grids) == 2  # the window and its widening, each priced once
+
+
 def test_grid_memo_gives_the_cold_result(monkeypatch):
     """The priced grid is reused while consecutive searches share peers and
     window; interleaved peer sets (one rebuilt equal, one scaled to the same

@@ -238,3 +238,69 @@ def test_price_does_not_rise_with_capacity():
         prices = [solve(GameInstance(u_k, game.peers)).price for u_k in capacities]
         for u_k, a, b in zip(capacities[1:], prices, prices[1:]):
             assert b <= a, (u_k, game)
+
+
+# --- the breakpoint table kept across solves of one peer set ------------------
+
+def _bits(eq):
+    return (eq.price.hex(), eq.revenue.hex(), eq.region,
+            [(pid, x.hex()) for pid, x in eq.allocation.items()])
+
+
+def test_kept_breakpoint_table_gives_cold_and_reference_bits(monkeypatch):
+    """Solves that reuse the table of the previous peer set agree in bits
+    with a solve from an empty table and with the curve-based reference,
+    over interleaved peer sets: plateau-prone ones (zero-credit peers, tied
+    ratios, capacities on a priority-order sum), a rebuilt equal copy, which
+    reuses the table, and a reversed listing, which does not."""
+    rng = random.Random(31)
+    peer_sets = []
+    for draw in range(12):
+        game = (_plateau_prone_game(rng) if draw % 3
+                else random_oversubscribed(rng, max_peers=8))
+        peer_sets.append(game.peers)
+    for peers in peer_sets[:4]:
+        peer_sets.append(tuple(PeerProfile(p.id, p.credits, p.capacity)
+                               for p in peers))
+        peer_sets.append(peers[::-1])
+    peers = peer_sets[0]
+    hits = 0
+    for _ in range(3000):
+        if rng.random() < 0.2:
+            peers = rng.choice(peer_sets)
+        total = sum(p.capacity for p in peers)
+        if rng.random() < 0.3:
+            roster = GameInstance(1.0, peers).sorted_by_priority()
+            u_k = sum(p.capacity for p in roster[:rng.randint(1, len(roster))])
+        else:
+            u_k = rng.uniform(1e-3, 1.2 * total)
+        game = GameInstance(u_k, peers)
+        before = credshare.solver._last_table
+        warm = _bits(solve(game))
+        hits += bool(game.credited()) and credshare.solver._last_table is before
+        kept = credshare.solver._last_table
+        monkeypatch.setattr(credshare.solver, "_last_table", None)
+        assert warm == _bits(solve(game)), game
+        monkeypatch.setattr(credshare.solver, "_last_table", kept)
+        assert warm[0] == solve_price_reference(game)[0].hex(), game
+    assert hits > 2000, hits  # about four in five solves keep the table
+
+
+def test_capacity_sweep_sums_each_breakpoint_demand_once(monkeypatch):
+    # 4 peers give 8 breakpoints; beyond those, each of the 120 solves sums
+    # demand only for its residual check (691 sums when every solve scanned
+    # from the top)
+    from credshare.experiments import capacity_sweep, example_game
+
+    calls = []
+    original = credshare.solver.aggregate_demand
+
+    def counting(game, price):
+        calls.append(price)
+        return original(game, price)
+
+    monkeypatch.setattr(credshare.solver, "aggregate_demand", counting)
+    game = example_game("example3")
+    assert len(game.peers) == 4
+    capacity_sweep(game, 0.0, game.total_capacity)
+    assert len(calls) <= 8 + 120, len(calls)
