@@ -123,7 +123,7 @@ def capacity_sweep(game: GameInstance, lo: float = 0.0,
     span = hi - lo
     for k in range(1 if lo == 0 else 0, steps + 1):
         u_k = lo + span * k / steps
-        inst = GameInstance(u_k, game.peers)
+        inst = game.at_capacity(u_k)
         eq = solve(inst)
         row = [u_k, eq.price, *(eq.allocation[p.id] for p in game.peers)]
         if oracle:

@@ -13,6 +13,7 @@ A game owns one priority order of its peers (ratio descending, id
 ascending on ties) and the market window read off it, both computed once.
 Every demand total, demands_at's included, is summed in that order, so no
 total, price or region label depends on the order the peers are listed in.
+The solver's breakpoint table lives on the game too; at_capacity shares it.
 
 Threshold values are computed once per peer from the priority ratio
 h = c/d (cutoff = h/ln2, saturation = cutoff/2, exact halving) so equal
@@ -20,6 +21,7 @@ ratios yield bitwise-equal thresholds and tie merging is exact. Every
 comparison elsewhere in the package uses these stored values.
 """
 
+import copy
 import math
 import numbers
 from bisect import bisect_left
@@ -53,6 +55,13 @@ def _require_finite(name, value):
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return number
+
+
+def _require_capacity(value):
+    capacity = _require_finite("uploader_capacity", value)
+    if capacity <= 0:
+        raise ValidationError(f"uploader_capacity must be > 0, got {capacity}")
+    return capacity
 
 
 @dataclass(frozen=True)
@@ -103,15 +112,12 @@ class GameInstance:
     saturation_floor: Optional[float] = field(init=False, repr=False, compare=False)
     _priority: tuple = field(init=False, repr=False, compare=False)
     _credited: tuple = field(init=False, repr=False, compare=False)
+    _table_slot: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "uploader_capacity",
-                           _require_finite("uploader_capacity", self.uploader_capacity))
+                           _require_capacity(self.uploader_capacity))
         object.__setattr__(self, "peers", tuple(self.peers))
-        if self.uploader_capacity <= 0:
-            raise ValidationError(
-                f"uploader_capacity must be > 0, got {self.uploader_capacity}"
-            )
         if not self.peers:
             raise ValidationError("peer set must be non-empty")
         seen = set()
@@ -130,6 +136,14 @@ class GameInstance:
         object.__setattr__(self, "market_top", priority[0].cutoff_price)
         object.__setattr__(self, "saturation_floor",
                            credited[-1].saturation_price if credited else None)
+        object.__setattr__(self, "_table_slot", [None])
+
+    def at_capacity(self, u_k):
+        """GameInstance(u_k, self.peers), sharing rather than redoing all
+        that derives from the peers alone, the breakpoint table included."""
+        game = copy.copy(self)
+        object.__setattr__(game, "uploader_capacity", _require_capacity(u_k))
+        return game
 
     @property
     def total_capacity(self):
@@ -156,6 +170,17 @@ class GameInstance:
     def credited(self):
         """The peers with credits, in priority order."""
         return self._credited
+
+    def _breakpoint_table(self):
+        """The credited peers' sorted distinct thresholds and the demand at
+        each (None until a solve sums it). Published whole by one assignment;
+        every entry is a function of the peers, whichever caller fills it."""
+        table = self._table_slot[0]
+        if table is None:
+            breakpoints = sorted({t for p in self._credited
+                                  for t in (p.saturation_price, p.cutoff_price)})
+            table = self._table_slot[0] = (breakpoints, [None] * len(breakpoints))
+        return table
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .model import UPLOADER_ID, Equilibrium, GameInstance, PeerProfile, _require_finite
+from .model import (UPLOADER_ID, Equilibrium, GameInstance, PeerProfile,
+                    _require_capacity, _require_finite)
 from .solver import solve
 
 INFINITY = float("inf")
@@ -216,9 +217,7 @@ def run_scenario(uploader_capacity: float,
     no peers are present). The final epoch is closed at +inf. Zero-length
     epochs created by same-time events are dropped.
     """
-    uploader_capacity = _require_finite("uploader_capacity", uploader_capacity)
-    if uploader_capacity <= 0:
-        raise ValidationError("uploader_capacity must be > 0")
+    uploader_capacity = _require_capacity(uploader_capacity)
     events = list(events)
     validate_scenario(events)
 

@@ -21,11 +21,10 @@ demand is flat at exactly the capacity (a plateau), the supremum price of
 the plateau is returned, since revenue mu * u_k rises with mu along it.
 
 The sorted breakpoints and the demand at each depend only on the peers, so
-they are kept while consecutive solves share the peers, with each demand
-summed the first time a scan reads it: a capacity sweep sorts its
-breakpoints once and sums each breakpoint's demand once, and redoes only
-the scan's comparisons, the inversion and the residual check at each
-capacity.
+they live on the game, each demand summed the first time a scan reads it,
+and GameInstance.at_capacity copies share them: a capacity sweep sorts its
+breakpoints once, sums each breakpoint's demand once, and redoes only the
+scan's comparisons, the inversion and the residual check at each capacity.
 
 Every sum is taken in the game's priority order
 (GameInstance.sorted_by_priority), so the price, the revenue and the
@@ -131,28 +130,6 @@ def equilibrium_at(game: GameInstance, price: float) -> Equilibrium:
     )
 
 
-# (peers, sorted distinct breakpoints, demand at each) of the latest game
-# solved past its no-credit check; a demand entry is None until a scan reads
-# it. Every entry is a function of the peers alone (peers compare by id,
-# credits and capacity, from which the thresholds and the priority order
-# derive), so a hit gives the values a fresh sum would, bit for bit.
-_last_table = None
-
-
-def _breakpoint_table(game: GameInstance):
-    """The credited peers' sorted distinct thresholds and the demand list
-    aligned with them, kept while consecutive solves share the peers."""
-    global _last_table
-    table = _last_table
-    if table is None or (table[0] is not game.peers and table[0] != game.peers):
-        # free the old table before building the new one
-        table = _last_table = None
-        breakpoints = sorted({t for p in game.credited()
-                              for t in (p.saturation_price, p.cutoff_price)})
-        table = _last_table = (game.peers, breakpoints, [None] * len(breakpoints))
-    return table[1], table[2]
-
-
 def _demand_at(game: GameInstance, breakpoints, demand, i: int) -> float:
     """aggregate_demand at breakpoints[i], summed the first time it is read."""
     value = demand[i]
@@ -181,7 +158,7 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
 
     # every credited peer buys its full capacity up to the lowest saturation
     # price, which is the lowest breakpoint
-    breakpoints, demand = _breakpoint_table(game)
+    breakpoints, demand = game._breakpoint_table()
     credited_capacity = _demand_at(game, breakpoints, demand, 0)
     if credited_capacity <= u_k:
         return equilibrium_at(game, game.saturation_floor)
@@ -264,9 +241,9 @@ def balance_region_price(game: GameInstance) -> Optional[float]:
 
     Applicable only when min ratio >= max ratio / 2 and the capacity lies in
     the window that keeps every peer strictly price sensitive (strict lower
-    bound, inclusive upper bound). Returns None when not applicable.
+    bound, inclusive upper bound); None otherwise. Sums run in priority order.
     """
-    peers = game.peers
+    peers = game.sorted_by_priority()
     if any(p.credits <= 0 for p in peers):
         return None
     ratios = [p.ratio for p in peers]
@@ -331,8 +308,6 @@ def ordered_threshold_price(game: GameInstance) -> float:
     def p_price(k):
         return suffix_c[k] / ((u_k - prefix_d[k - 1] + suffix_d[k]) * LN2)
 
-    if u_k <= 0:
-        raise ValidationError(f"uploader capacity must be > 0, got {u_k}")
     for k in range(1, n):
         if u_k <= t_bound(k + 1):
             return q_price(k)

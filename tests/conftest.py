@@ -3,7 +3,6 @@ import random
 import pytest
 
 import credshare.oracle
-import credshare.solver
 from credshare import GameInstance, PeerProfile
 
 EXAMPLE4_CREDITS = (400.0, 300.0, 200.0, 100.0)
@@ -20,10 +19,9 @@ def make_game(uploader_capacity, specs):
 
 @pytest.fixture(autouse=True)
 def empty_memos(monkeypatch):
-    """Start every test from empty one-slot memos (the solver's breakpoint
-    table and the oracle's priced grid), as a fresh process does, so that no
-    test runs warm or cold depending on which test ran before it."""
-    monkeypatch.setattr(credshare.solver, "_last_table", None)
+    """Start every test from an empty one-slot memo (the oracle's priced
+    grid, the package's only module-level memo), as a fresh process does, so
+    that no test runs warm or cold depending on which test ran before it."""
     monkeypatch.setattr(credshare.oracle, "_last_grid", None)
 
 

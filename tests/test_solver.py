@@ -227,6 +227,22 @@ def test_balance_region_agrees_with_solve_when_present():
     assert present >= 100  # the generator must actually exercise the form
 
 
+def test_balance_region_gives_solves_bits_in_any_listing_order():
+    rng = random.Random(5)
+    present = 0
+    for _ in range(400):
+        game = random_interleaved(rng)
+        peers = list(game.peers)
+        rng.shuffle(peers)
+        game = GameInstance(game.uploader_capacity, peers)
+        price = balance_region_price(game)
+        if price is None:
+            continue
+        present += 1
+        assert price.hex() == solve(game).price.hex(), game
+    assert present >= 100
+
+
 # --- ordered-threshold closed form --------------------------------------------
 
 def test_ordered_threshold_two_peer_windows():

@@ -11,6 +11,7 @@ import credshare.solver
 from credshare import (GameInstance, PeerProfile, RegionLabel, ValidationError,
                        aggregate_demand, classify_region, solve)
 from credshare.model import ACT, LN2, SAT, build_demand_curve, demands_at
+from credshare.simulator import run_scenario
 
 from conftest import make_game, random_oversubscribed
 
@@ -247,12 +248,12 @@ def _bits(eq):
             [(pid, x.hex()) for pid, x in eq.allocation.items()])
 
 
-def test_kept_breakpoint_table_gives_cold_and_reference_bits(monkeypatch):
-    """Solves that reuse the table of the previous peer set agree in bits
-    with a solve from an empty table and with the curve-based reference,
-    over interleaved peer sets: plateau-prone ones (zero-credit peers, tied
-    ratios, capacities on a priority-order sum), a rebuilt equal copy, which
-    reuses the table, and a reversed listing, which does not."""
+def test_kept_breakpoint_table_gives_cold_and_reference_bits():
+    """Solves of at_capacity copies, which share their peer set's table,
+    agree in bits with a solve of a freshly built game and with the
+    curve-based reference, over interleaved peer sets: plateau-prone ones
+    (zero-credit peers, tied ratios, capacities on a priority-order sum), a
+    rebuilt equal copy and a reversed listing, each with a table of its own."""
     rng = random.Random(31)
     peer_sets = []
     for draw in range(12):
@@ -263,27 +264,30 @@ def test_kept_breakpoint_table_gives_cold_and_reference_bits(monkeypatch):
         peer_sets.append(tuple(PeerProfile(p.id, p.credits, p.capacity)
                                for p in peers))
         peer_sets.append(peers[::-1])
-    peers = peer_sets[0]
-    hits = 0
+    shared = [GameInstance(1.0, peers) for peers in peer_sets]
+    index = 0
+    hits = misses = 0
     for _ in range(3000):
         if rng.random() < 0.2:
-            peers = rng.choice(peer_sets)
+            index = rng.randrange(len(peer_sets))
+        peers = peer_sets[index]
         total = sum(p.capacity for p in peers)
         if rng.random() < 0.3:
-            roster = GameInstance(1.0, peers).sorted_by_priority()
+            roster = shared[index].sorted_by_priority()
             u_k = sum(p.capacity for p in roster[:rng.randint(1, len(roster))])
         else:
             u_k = rng.uniform(1e-3, 1.2 * total)
-        game = GameInstance(u_k, peers)
-        before = credshare.solver._last_table
+        game = shared[index].at_capacity(u_k)
+        if game.credited():
+            built = game._table_slot[0] is not None
+            hits += built
+            misses += not built
         warm = _bits(solve(game))
-        hits += bool(game.credited()) and credshare.solver._last_table is before
-        kept = credshare.solver._last_table
-        monkeypatch.setattr(credshare.solver, "_last_table", None)
-        assert warm == _bits(solve(game)), game
-        monkeypatch.setattr(credshare.solver, "_last_table", kept)
-        assert warm[0] == solve_price_reference(game)[0].hex(), game
-    assert hits > 2000, hits  # about four in five solves keep the table
+        cold = GameInstance(u_k, peers)
+        assert warm == _bits(solve(cold)), game
+        assert warm[0] == solve_price_reference(cold)[0].hex(), game
+    assert misses <= len(peer_sets), misses  # each table is built once
+    assert hits > 2800, hits
 
 
 def test_capacity_sweep_sums_each_breakpoint_demand_once(monkeypatch):
@@ -304,3 +308,61 @@ def test_capacity_sweep_sums_each_breakpoint_demand_once(monkeypatch):
     assert len(game.peers) == 4
     capacity_sweep(game, 0.0, game.total_capacity)
     assert len(calls) <= 8 + 120, len(calls)
+
+
+# --- at_capacity: the same peers at another capacity --------------------------
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), 0, -1, True, "2", 10**400],
+    ids=["nan", "inf", "0", "-1", "True", "'2'", "10**400"])
+def test_at_capacity_and_run_scenario_reject_what_the_constructor_rejects(
+        value, example4_game):
+    with pytest.raises(ValidationError) as built:
+        GameInstance(value, example4_game.peers)
+    with pytest.raises(ValidationError) as copied:
+        example4_game.at_capacity(value)
+    with pytest.raises(ValidationError) as simulated:
+        run_scenario(value, ())
+    assert str(copied.value) == str(simulated.value) == str(built.value)
+
+
+def test_at_capacity_equals_and_hashes_as_a_built_game(example4_game):
+    for u_k in (0.5, 2, 3.75, 5.0, 1e-9):
+        copy = example4_game.at_capacity(u_k)
+        built = GameInstance(u_k, example4_game.peers)
+        assert copy == built and hash(copy) == hash(built)
+        assert copy.uploader_capacity == u_k and type(copy.uploader_capacity) is float
+        assert copy.sorted_by_priority() is example4_game.sorted_by_priority()
+        assert copy != example4_game.at_capacity(u_k + 1.0)
+    assert example4_game.at_capacity(2.0) == example4_game
+
+
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_at_capacity_copies_share_one_table_whichever_solves_first(first, example4_game):
+    games = [example4_game, example4_game.at_capacity(1.0),
+             example4_game.at_capacity(3.5).at_capacity(0.25)]
+    solve(games[first])
+    tables = {id(g._breakpoint_table()) for g in games}
+    assert len(tables) == 1
+    assert GameInstance(2.0, example4_game.peers)._breakpoint_table() is not \
+        example4_game._breakpoint_table()
+
+
+def test_a_game_keeps_its_table_across_solves_of_other_games(monkeypatch, example4_game):
+    # solving A, then B, then A again sums no breakpoint demand for A the
+    # second time: only the residual check calls aggregate_demand
+    calls = []
+    original = credshare.solver.aggregate_demand
+
+    def counting(game, price):
+        calls.append(game)
+        return original(game, price)
+
+    monkeypatch.setattr(credshare.solver, "aggregate_demand", counting)
+    a = GameInstance(1.0, example4_game.peers)
+    b = make_game(1.0, [(300.0, 3.0), (150.0, 2.0), (10.0, 1.0)])
+    expected = solve(a)
+    solve(b)
+    calls.clear()
+    assert solve(a) == expected
+    assert calls == [a]
