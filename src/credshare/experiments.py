@@ -18,6 +18,7 @@ Every --oracle cross-check (solve, the capacity sweep and the churn
 timeline) goes through cross_check.
 """
 
+import math
 from typing import List, Optional, Tuple
 
 from .errors import ValidationError
@@ -68,13 +69,25 @@ def example_scenario(name: str) -> Tuple[float, Tuple[ScenarioEvent, ...]]:
     raise ValidationError(f"no scenario form for {name!r}")
 
 
-def cross_check(game: GameInstance, revenue: float) -> Tuple[float, float, bool]:
+def cross_check(game: GameInstance, revenue: float,
+                grids: Optional[dict] = None) -> Tuple[float, float, bool]:
     """The grid oracle's best price and revenue on the game, and whether
-    `revenue` agrees with that revenue within one grid cell."""
+    `revenue` agrees with that revenue within one grid cell. grids is the
+    priced windows that searches of these peers share (grid_search_price)."""
     spec = GridSpec.for_game(game)
-    oracle_price, oracle_revenue = grid_search_price(game, spec)
+    oracle_price, oracle_revenue = grid_search_price(game, spec, grids)
     return (oracle_price, oracle_revenue,
             revenue_agreement(game, revenue, oracle_revenue, spec))
+
+
+def _finite_span(lo: float, hi: float, steps: int) -> float:
+    """hi - lo for bounds with 0 <= lo < hi; raises unless hi and every
+    grid offset span * k (k <= steps) are finite."""
+    span = hi - lo
+    if not math.isfinite(span * steps):
+        raise ValidationError(f"sweep range [{lo}, {hi}] over {steps} steps "
+                              "is not finite")
+    return span
 
 
 def price_sweep(game: GameInstance, lo: Optional[float] = None,
@@ -91,9 +104,9 @@ def price_sweep(game: GameInstance, lo: Optional[float] = None,
         raise ValidationError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
+    span = _finite_span(lo, hi, steps)
     header = ("price", *(p.id for p in game.peers), "total_demand")
     rows = []
-    span = hi - lo
     for k in range(steps + 1):
         price = lo + span * k / steps
         demands, total = demands_at(game, price)
@@ -119,15 +132,17 @@ def capacity_sweep(game: GameInstance, lo: float = 0.0,
     header = ["uploader_capacity", "price", *(p.id for p in game.peers)]
     if oracle:
         header += ["oracle_price", "oracle_agrees"]
+    span = _finite_span(lo, hi, steps)
     rows = []
-    span = hi - lo
+    # every capacity has the same peers, so the same oracle window: price it once
+    grids = {}
     for k in range(1 if lo == 0 else 0, steps + 1):
         u_k = lo + span * k / steps
         inst = game.at_capacity(u_k)
         eq = solve(inst)
         row = [u_k, eq.price, *(eq.allocation[p.id] for p in game.peers)]
         if oracle:
-            oracle_price, _, agrees = cross_check(inst, eq.revenue)
+            oracle_price, _, agrees = cross_check(inst, eq.revenue, grids)
             row += [oracle_price, "yes" if agrees else "no"]
         rows.append(tuple(row))
     return csv_text(tuple(header), rows)

@@ -224,17 +224,17 @@ class RegionLabel(Enum):
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """A price, the induced allocation, and the resulting payoffs."""
+    """A price, the induced allocation, and the resulting payoffs.
+
+    total_allocation is the allocation's total summed in priority order,
+    so revenue == price * total_allocation whatever the peers' listing."""
 
     price: float
     allocation: Allocation
+    total_allocation: float
     revenue: float
     utilities: Mapping[str, float]
     region: RegionLabel
-
-    @property
-    def total_allocation(self):
-        return self.allocation.total
 
 
 def best_response(peer: PeerProfile, price: float) -> float:

@@ -7,9 +7,11 @@ Both are deliberately dumb and vectorized with numpy; they exist to catch
 mistakes in the closed forms, not to be fast paths.
 
 The price grid, its demand and its revenue depend only on the peers and the
-window, so they are kept while consecutive searches share both: a capacity
-sweep prices the grid once and redoes only the per-capacity admissibility
-test and argmax. A widened window is kept beside the one it widens.
+window, so a caller searching one peer set at many capacities may hand every
+search the same dict of priced windows: a capacity sweep prices its grid (and
+the widened one, if a search needs it) once and redoes only the
+per-capacity admissibility test and argmax. Nothing outlives the call that
+owns the dict.
 
 numpy is imported inside the functions that use it, so importing this
 module (and the package, which re-exports it) does not load numpy.
@@ -81,50 +83,34 @@ def demand_on_grid(game: GameInstance, prices: "np.ndarray") -> "np.ndarray":
     return total
 
 
-# (peers, spec, grids) of the latest search. grids maps each window the
-# search priced (the spec, and its widening once a search needs it) to
-# (prices, demand, prices * demand). Every entry is a function of the key
-# alone (peers compare by id, credits and capacity, from which the
-# thresholds derive), so a hit returns the arrays a fresh computation would,
-# bit for bit, whichever caller left them.
-_last_grid = None
-
-
-def _priced_grid(game: GameInstance, spec: GridSpec, window: GridSpec):
-    """The window's prices, the game's demand at each and the revenue it
-    would earn, reused while consecutive searches share peers and spec."""
-    global _last_grid
-    memo = _last_grid
-    if memo is None or memo[0] != game.peers or memo[1] != spec:
-        # drop the old grids before pricing new ones: holding both at once
-        # raised the sweep's peak RSS
-        memo = _last_grid = (game.peers, spec, {})
-    grids = memo[2]
-    grid = grids.get(window)
-    if grid is None:
-        prices = window.prices()
-        demand = demand_on_grid(game, prices)
-        grid = grids[window] = (prices, demand, prices * demand)
-    return grid
-
-
-def grid_search_price(game: GameInstance,
-                      spec: Optional[GridSpec] = None) -> Tuple[float, float]:
+def grid_search_price(game: GameInstance, spec: Optional[GridSpec] = None,
+                      grids: Optional[dict] = None) -> Tuple[float, float]:
     """Exhaustive price search; returns (best price, best revenue).
 
     A grid price is admissible only when the demand it draws fits the
     capacity (the uploader cannot ration a uniform price). If the window
     contains no admissible price it is widened upward once by its own
     width; a second failure raises OracleError.
+
+    grids, which searches of one peer set may share, maps each window
+    priced so far to (prices, demand, prices * demand); a search adds the
+    windows it prices to it.
     """
     import numpy as np
 
     if spec is None:
         spec = GridSpec.for_game(game)
+    if grids is None:
+        grids = {}
     u_k = game.uploader_capacity
 
     def search(s: GridSpec):
-        prices, demand, earned = _priced_grid(game, spec, s)
+        grid = grids.get(s)
+        if grid is None:
+            prices = s.prices()
+            demand = demand_on_grid(game, prices)
+            grid = grids[s] = (prices, demand, prices * demand)
+        prices, demand, earned = grid
         admissible = demand <= u_k
         if not np.any(admissible):
             return None

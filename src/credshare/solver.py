@@ -122,6 +122,7 @@ def equilibrium_at(game: GameInstance, price: float) -> Equilibrium:
     return Equilibrium(
         price=price,
         allocation=Allocation(amounts),
+        total_allocation=total,
         revenue=price * total,
         utilities={
             p.id: downloader_utility(p, amounts[p.id], price) for p in game.peers

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import credshare.oracle
 from credshare import GameInstance, PeerProfile
 
 EXAMPLE4_CREDITS = (400.0, 300.0, 200.0, 100.0)
@@ -15,14 +14,6 @@ def make_game(uploader_capacity, specs):
         PeerProfile(f"peer{i}", c, d) for i, (c, d) in enumerate(specs, start=1)
     ]
     return GameInstance(uploader_capacity, peers)
-
-
-@pytest.fixture(autouse=True)
-def empty_memos(monkeypatch):
-    """Start every test from an empty one-slot memo (the oracle's priced
-    grid, the package's only module-level memo), as a fresh process does, so
-    that no test runs warm or cold depending on which test ran before it."""
-    monkeypatch.setattr(credshare.oracle, "_last_grid", None)
 
 
 @pytest.fixture

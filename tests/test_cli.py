@@ -121,6 +121,21 @@ def test_sweep_rejects_zero_steps(instance_file, sweep, capsys):
     assert "steps must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep, lo, hi", [
+    ("price", "1", "inf"),
+    ("price", "1", "1e308"),  # finite bounds, but span * steps overflows
+    ("capacity", "0", "inf"),
+    ("capacity", "0", "1e308"),
+])
+def test_sweep_rejects_non_finite_range(instance_file, sweep, lo, hi, capsys):
+    argv = ["sweep", instance_file, "--sweep", sweep, "--range", lo, hi, "--steps", "3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"credshare: sweep range [{float(lo)}, {float(hi)}] "
+                            "over 3 steps is not finite\n")
+
+
 def test_capacity_sweep_entering_order_and_saturation(tmp_path, capsys):
     path = tmp_path / "example3.json"
     game = example_game("example3")
@@ -476,9 +491,9 @@ def test_every_oracle_flag_searches_through_experiments(monkeypatch, instance_fi
     original = experiments.grid_search_price
     original_grid = oracle.demand_on_grid
 
-    def counting(game, spec):
+    def counting(game, spec, priced=None):
         searches.append(spec)
-        return original(game, spec)
+        return original(game, spec, priced)
 
     def counting_grid(game, prices):
         grids.append(prices.size)
@@ -486,15 +501,11 @@ def test_every_oracle_flag_searches_through_experiments(monkeypatch, instance_fi
 
     monkeypatch.setattr(experiments, "grid_search_price", counting)
     monkeypatch.setattr(oracle, "demand_on_grid", counting_grid)
-    # each command starts from an empty grid memo, as a fresh process does
-    monkeypatch.setattr(oracle, "_last_grid", None)
     assert main(["solve", instance_file, "--oracle"]) == 0
     assert (len(searches), len(grids)) == (1, 1)
-    monkeypatch.setattr(oracle, "_last_grid", None)
     assert main(["sweep", instance_file, "--sweep", "capacity", "--steps", "3",
                  "--oracle"]) == 0
     assert (len(searches), len(grids)) == (4, 2)  # three capacities, one grid
-    monkeypatch.setattr(oracle, "_last_grid", None)
     assert main(["simulate", scenario_file, "--oracle"]) == 0
     # one search and one grid per epoch of the four joins
     assert (len(searches), len(grids)) == (8, 6)

@@ -72,9 +72,9 @@ def test_grid_search_widens_window_upward_once(example4_game):
         grid_search_price(example4_game, GridSpec(150.0, 160.0, 0.5))
 
 
-def _searched(game, spec):
+def _searched(game, spec, grids=None):
     try:
-        price, revenue = grid_search_price(game, spec)
+        price, revenue = grid_search_price(game, spec, grids)
     except OracleError as exc:
         return str(exc)
     return price.hex(), revenue.hex()
@@ -89,82 +89,72 @@ def _searched(game, spec):
 ])
 def test_repeated_widening_search_prices_each_window_once(monkeypatch, example4_game,
                                                           spec, expected):
+    """Searches that share one dict of priced windows price the window and
+    its widening once between them; a search without one prices its own."""
     import credshare.oracle as oracle
 
-    grids = []
+    priced = []
     original = oracle.demand_on_grid
 
     def counting(game, prices):
-        grids.append(prices.size)
+        priced.append(prices.size)
         return original(game, prices)
 
     monkeypatch.setattr(oracle, "demand_on_grid", counting)
+    if isinstance(expected, tuple):
+        expected = tuple(x.hex() for x in expected)
+    grids = {}
     for _ in range(3):
-        try:
-            found = grid_search_price(example4_game, spec)
-        except OracleError as exc:
-            found = str(exc)
-        assert found == expected
-    assert len(grids) == 2  # the window and its widening, each priced once
+        assert _searched(example4_game, spec, grids) == expected
+    assert len(priced) == len(grids) == 2  # the window and its widening
+    assert _searched(example4_game, spec) == expected
+    assert len(priced) == 4 and len(grids) == 2
 
 
-def test_grid_memo_gives_the_cold_result(monkeypatch):
-    """The priced grid is reused while consecutive searches share peers and
-    window; interleaved peer sets (one rebuilt equal, one scaled to the same
-    window, some with zero-credit peers), capacities and windows (the default, an explicit one, one that
-    widens and one with no admissible price) agree in bits with a search
-    that starts from an empty memo."""
+def test_sweep_oracle_columns_equal_fresh_cross_checks(monkeypatch):
+    """A capacity sweep shares one dict of priced windows across its
+    capacities; every oracle result it reports equals, in bits, a fresh
+    cross_check on GameInstance(u_k, peers), on seeded peer sets (some with
+    a free rider) over full ranges and over tiny ones whose window widens.
+    Each sweep prices at most its window and that window's widening."""
+    import credshare.experiments as experiments
     import credshare.oracle as oracle
 
-    grids = []
-    original = oracle.demand_on_grid
+    priced = []
+    original_grid = oracle.demand_on_grid
 
     def counting(game, prices):
-        grids.append(prices.size)
-        return original(game, prices)
+        priced.append(prices.size)
+        return original_grid(game, prices)
+
+    checks = []
+    original_check = experiments.cross_check
+
+    def recording(game, revenue, grids=None):
+        found = original_check(game, revenue, grids)
+        checks.append((game.uploader_capacity, game.peers, revenue, found))
+        return found
 
     monkeypatch.setattr(oracle, "demand_on_grid", counting)
+    monkeypatch.setattr(experiments, "cross_check", recording)
     rng = random.Random(101)
-    peer_sets = []
-    for _ in range(4):
+    widened = 0
+    for _ in range(24):
         peers = list(random_oversubscribed(rng).peers)
         if rng.random() < 0.5:
             peers.append(PeerProfile("free", 0.0, rng.uniform(0.1, 5.0)))
-        peer_sets.append(tuple(peers))
-    peer_sets.append(tuple(PeerProfile(p.id, p.credits, p.capacity)
-                           for p in peer_sets[0]))
-    # same ratios, so the same window, but twice the demand
-    peer_sets.append(tuple(PeerProfile(p.id, 2 * p.credits, 2 * p.capacity)
-                           for p in peer_sets[0]))
-    monkeypatch.setattr(oracle, "_last_grid", None)
-    peers, kind = peer_sets[0], 0
-    hits = 0
-    for _ in range(300):
-        if rng.random() < 0.3:
-            peers = rng.choice(peer_sets)
-        if rng.random() < 0.3:
-            kind = rng.randrange(5)
-        total = sum(p.capacity for p in peers)
-        game = GameInstance(rng.uniform(0.01, 0.99) * total, peers)
-        window = GridSpec.for_game(game)
-        clearing = solve(game).price
-        spec = [
-            None,
-            window,
-            GridSpec(window.price_min, 0.5 * (window.price_min + window.price_max),
-                     0.5 * window.resolution),
-            GridSpec(0.8 * clearing, 0.99 * clearing, 1e-3 * clearing),
-            GridSpec(window.price_min, 1.001 * window.price_min,
-                     1e-5 * window.price_min),
-        ][kind]
-        before = len(grids)
-        warm = _searched(game, spec)
-        hits += len(grids) == before
-        memo = oracle._last_grid
-        oracle._last_grid = None
-        assert warm == _searched(game, spec)
-        oracle._last_grid = memo
-    assert hits >= 50  # a third of the searches reuse the previous grid
+        game = GameInstance(1.0, peers)
+        hi = game.total_capacity * rng.choice((1.0, 1e-9))
+        del priced[:], checks[:]
+        experiments.capacity_sweep(game, 0.0, hi, 6, oracle=True)
+        assert len(checks) == 6 and len(priced) in (1, 2)
+        widened += len(priced) == 2
+        for u_k, peers_seen, revenue, found in checks:
+            fresh = original_check(GameInstance(u_k, peers), revenue)
+            assert peers_seen == tuple(peers)
+            assert (found[0].hex(), found[1].hex(), found[2]) == (
+                fresh[0].hex(), fresh[1].hex(), fresh[2])
+    assert widened >= 3
 
 
 def test_vectorized_demand_matches_scalar():

@@ -89,6 +89,25 @@ def test_solve_deterministic_and_permutation_invariant():
             assert eq3.allocation[p.id] == eq1.allocation[p.id]
 
 
+def test_total_allocation_does_not_depend_on_the_listing():
+    """The total is summed in priority order, the order the revenue uses,
+    so relisting the peers leaves its bits alone although a listing-order
+    sum of the same allocation changes on some games."""
+    rng = random.Random(53)
+    listing_sums_differ = 0
+    for _ in range(400):
+        game = random_oversubscribed(rng, 8)
+        eq = solve(game)
+        assert eq.revenue == eq.price * eq.total_allocation
+        peers = list(game.peers)
+        rng.shuffle(peers)
+        relisted = solve(GameInstance(game.uploader_capacity, peers))
+        assert relisted.total_allocation.hex() == eq.total_allocation.hex()
+        listing_sums_differ += (sum(relisted.allocation[p.id] for p in peers)
+                                != eq.total_allocation)
+    assert listing_sums_differ >= 20
+
+
 def test_price_bounds():
     rng = random.Random(53)
     for _ in range(200):
@@ -348,6 +367,7 @@ def test_verify_se_rejects_perturbed_price(example4_game):
     perturbed = Equilibrium(
         price=price,
         allocation=Allocation(amounts),
+        total_allocation=sum(amounts.values()),
         revenue=price * sum(amounts.values()),
         utilities={
             p.id: downloader_utility(p, amounts[p.id], price)
