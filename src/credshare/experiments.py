@@ -84,7 +84,11 @@ def _finite_span(lo: float, hi: float, steps: int) -> float:
     """hi - lo for bounds with 0 <= lo < hi; raises unless hi and every
     grid offset span * k (k <= steps) are finite."""
     span = hi - lo
-    if not math.isfinite(span * steps):
+    try:
+        finite = math.isfinite(span * steps)
+    except OverflowError:  # steps beyond the float range
+        finite = False
+    if not finite:
         raise ValidationError(f"sweep range [{lo}, {hi}] over {steps} steps "
                               "is not finite")
     return span

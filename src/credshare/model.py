@@ -102,12 +102,15 @@ class PeerProfile:
 
 @dataclass(frozen=True)
 class GameInstance:
-    """One pricing round: an uploader's capacity and its request set, and
-    its market window, from saturation_floor (the lowest saturation price of
-    a credited peer; None without one) up to market_top (the top cutoff)."""
+    """One pricing round: an uploader's capacity and its request set, the
+    peers' total_capacity (summed in listing order; its sum with the
+    uploader's capacity must be finite), and the market window, from
+    saturation_floor (the lowest saturation price of a credited peer; None
+    without one) up to market_top (the top cutoff)."""
 
     uploader_capacity: float
     peers: tuple
+    total_capacity: float = field(init=False, repr=False, compare=False)
     market_top: float = field(init=False, repr=False, compare=False)
     saturation_floor: Optional[float] = field(init=False, repr=False, compare=False)
     _priority: tuple = field(init=False, repr=False, compare=False)
@@ -121,12 +124,16 @@ class GameInstance:
         if not self.peers:
             raise ValidationError("peer set must be non-empty")
         seen = set()
+        total_capacity = 0.0  # in listing order
         for peer in self.peers:
             if not isinstance(peer, PeerProfile):
                 raise ValidationError("peers must be PeerProfile instances")
             if peer.id in seen:
                 raise ValidationError(f"duplicate peer id {peer.id!r}")
             seen.add(peer.id)
+            total_capacity += peer.capacity
+        object.__setattr__(self, "total_capacity", total_capacity)
+        self._require_finite_sum(self.uploader_capacity)
         priority = tuple(sorted(self.peers, key=lambda p: (-p.ratio, p.id)))
         # a credited peer's ratio is > 0 and a free rider's 0.0, so the credited
         # peers are the prefix of the priority order with -ratio below 0.0
@@ -141,24 +148,23 @@ class GameInstance:
     def at_capacity(self, u_k):
         """GameInstance(u_k, self.peers), sharing rather than redoing all
         that derives from the peers alone, the breakpoint table included."""
+        u_k = _require_capacity(u_k)
+        self._require_finite_sum(u_k)
         game = copy.copy(self)
-        object.__setattr__(game, "uploader_capacity", _require_capacity(u_k))
+        object.__setattr__(game, "uploader_capacity", u_k)
         return game
 
-    @property
-    def total_capacity(self):
-        return sum(p.capacity for p in self.peers)
+    def _require_finite_sum(self, u_k):
+        # the solver inverts at u_k plus the active peers' capacity
+        if not math.isfinite(u_k + self.total_capacity):
+            raise ValidationError(
+                f"uploader_capacity {u_k} plus the peers' total capacity "
+                f"{self.total_capacity} is not finite")
 
     @property
     def oversubscribed(self):
         """True when the request set could absorb more than the supply."""
         return self.total_capacity > self.uploader_capacity
-
-    def peer(self, peer_id):
-        for p in self.peers:
-            if p.id == peer_id:
-                return p
-        raise KeyError(peer_id)
 
     def sorted_by_priority(self):
         """Peers by priority ratio descending, id ascending on ties.
@@ -197,20 +203,6 @@ class Allocation:
 
     def items(self):
         return self.amounts.items()
-
-    @property
-    def total(self):
-        return sum(self.amounts.values())
-
-    def validate_for(self, game: GameInstance, slack=1e-9):
-        for p in game.peers:
-            x = self.amounts[p.id]
-            if x < 0 or x > p.capacity * (1 + slack):
-                raise ValidationError(
-                    f"allocation {x} for {p.id} outside [0, {p.capacity}]"
-                )
-        if self.total > game.uploader_capacity * (1 + slack):
-            raise ValidationError("allocation exceeds uploader capacity")
 
 
 class RegionLabel(Enum):

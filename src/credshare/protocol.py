@@ -3,10 +3,11 @@
 Two schemes, both between the uploader and n downloaders exchanging
 messages in one seeded session:
 
-* direct: one round. Downloaders report (credits, capacity); the uploader
-  solves for the optimal price, broadcasts it, collects the induced
-  demands, grants them, and streams. The result is bit-identical to
-  solve() on the same data.
+* direct: one round. Each downloader requests with its (credits,
+  capacity); the uploader prices the game whose peers sent those requests
+  with solve(), broadcasts the price, checks each demand reply against
+  that game's demand at the price, grants the demands, and streams. Its
+  equilibrium is solve() of the game.
 * bargaining: the uploader starts above every cutoff price and walks the
   price down a fixed step per round until total demand meets its capacity,
   accepting the first crossing inside the tolerance band. A crossing that
@@ -34,8 +35,8 @@ from enum import Enum
 from typing import Callable, List, Mapping, Optional, Tuple
 
 from .errors import ConvergenceError, ProtocolAbort, ValidationError
-from .model import (UPLOADER_ID, Equilibrium, GameInstance, PeerProfile,
-                    _require_finite, best_response, demands_at)
+from .model import (UPLOADER_ID, Equilibrium, GameInstance, _require_finite,
+                    demands_at)
 # classify_region is not called here: perfbench/tracing.py wraps it as an attribute
 from .solver import classify_region, equilibrium_at, solve  # noqa: F401
 
@@ -191,49 +192,43 @@ class _Session:
 def run_direct(game: GameInstance, seed: int = 0,
                misreport: Optional[Mapping[str, Callable[[float], float]]] = None,
                ) -> Tuple[Equilibrium, ProtocolTrace]:
-    """One-round scheme: collect profiles, solve, broadcast, grant.
+    """One-round scheme: collect requests, price the game, broadcast, grant.
 
+    The uploader prices `game`, the game whose peers sent the requests, so
+    every honest demand reply is that game's demand at the posted price.
     Downloaders reply honestly unless `misreport` maps their id to a hook
     that corrupts the demand they send. Raises ProtocolAbort when a demand
-    reply disagrees with the reported profile's best response (misreporting
+    reply differs from the game's demand for its sender (misreporting
     downloader), or when the equilibrium price draws no demand at all.
     """
     trace = ProtocolTrace(protocol="direct")
     session = _Session(game, seed, trace.messages)
     misreport = misreport or {}
-    peers = {p.id: p for p in game.peers}
 
-    # stage 1: requests carry (credits, capacity)
-    requests = session.deliver(
+    # stage 1: each downloader requests with its (credits, capacity)
+    session.deliver(
         session.send(MessageKind.REQUEST, p.id, UPLOADER_ID,
                      credits=p.credits, capacity=p.capacity)
         for p in game.peers
     )
-    profiles = {
-        m.sender: PeerProfile(m.sender, m.credits, m.capacity) for m in requests
-    }
 
-    # stage 2: the uploader prices the round from the reported profiles,
-    # keyed in game order like solve(); the trace lists them by priority
-    reported = GameInstance(game.uploader_capacity,
-                            [profiles[p.id] for p in game.peers])
-    eq = solve(reported)
+    # stage 2: the uploader prices the requesting peers' game; the trace
+    # lists the demands in priority order
+    eq = solve(game)
+    demands, total = demands_at(game, eq.price)
 
-    # stage 3: demand replies, each checked against the reported profile
+    # stage 3: demand replies, each checked against the game's demand
     def reply(pid):
-        demand = best_response(peers[pid], eq.price)
         hook = misreport.get(pid)
-        return demand if hook is None else hook(demand)
+        return demands[pid] if hook is None else hook(demands[pid])
 
     for m in session.round(eq.price, 1, reply):
-        expected = best_response(profiles[m.sender], eq.price)
+        expected = demands[m.sender]
         if m.bandwidth != expected:
             diag = (f"demand reply from {m.sender} is {m.bandwidth!r}, "
                     f"expected {expected!r} at price {eq.price!r}")
             trace.diagnostics.append(diag)
             raise ProtocolAbort(diag, trace)
-    # every reply equals its best response, so the checked demands are these
-    demands, total = demands_at(reported, eq.price)
 
     trace.rounds.append(TraceRound(index=1, price=eq.price, demands=demands,
                                    total=total, accepted=True))

@@ -72,7 +72,7 @@ __all__ = [
 class SolverConfig:
     """Numeric policy for solve(). Ties go to the highest clearing price."""
 
-    residual_tolerance: float = 1e-9   # relative, on |D(mu*) - u_k|
+    residual_tolerance: float = 1e-9   # on |D(mu*) - u_k|, scaled as solve() says
 
     def __post_init__(self):
         if self.residual_tolerance <= 0:
@@ -149,7 +149,8 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     allocation, and the insufficient label.
 
     Raises ConvergenceError when the price misses the capacity by more than
-    the residual tolerance, as subnormal prices can.
+    the residual tolerance, relative to max(1, u_k + the capacity of the
+    bracketed segment's price-sensitive peers), as subnormal prices can.
     """
     u_k = game.uploader_capacity
     credited = game.credited()
@@ -171,6 +172,7 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     # no lower segment brackets it again; the lowest segment's lower end
     # demands credited_capacity > u_k, so the scan always stops.
     hi_val = 0.0
+    active_capacity = 0.0  # a plateau or flat segment has no active peer
     for j in range(len(breakpoints) - 1, -1, -1):
         top = breakpoints[j]
         lo_val = (_demand_at(game, breakpoints, demand, j - 1) if j
@@ -194,8 +196,10 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
             break
         hi_val = lo_val
 
+    # evaluating demand at price cancels c/(mu ln2) against d for each
+    # active peer, so its rounding scales with u_k plus their capacity
     residual = abs(aggregate_demand(game, price) - u_k)
-    if residual > config.residual_tolerance * max(1.0, abs(u_k)):
+    if residual > config.residual_tolerance * max(1.0, u_k + active_capacity):
         raise ConvergenceError(
             f"solver residual {residual} exceeds tolerance at price {price}"
         )

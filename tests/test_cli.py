@@ -136,6 +136,17 @@ def test_sweep_rejects_non_finite_range(instance_file, sweep, lo, hi, capsys):
                             "over 3 steps is not finite\n")
 
 
+@pytest.mark.parametrize("sweep, lo", [("price", "1"), ("capacity", "0")])
+def test_sweep_rejects_steps_beyond_the_float_range(instance_file, sweep, lo, capsys):
+    steps = "1" + "0" * 400  # span * steps cannot convert it to a float
+    argv = ["sweep", instance_file, "--sweep", sweep, "--range", lo, "2", "--steps", steps]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"credshare: sweep range [{float(lo)}, 2.0] "
+                            f"over {steps} steps is not finite\n")
+
+
 def test_capacity_sweep_entering_order_and_saturation(tmp_path, capsys):
     path = tmp_path / "example3.json"
     game = example_game("example3")
@@ -435,6 +446,18 @@ def test_subnormal_saturation_price_solves_quietly(tmp_path, capacity):
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     assert "oracle_price: " in run.stdout
+
+
+def test_capacity_sum_overflow_exits_1(tmp_path):
+    # u_k + d overflows: the inversion would price at 0.0
+    path = tmp_path / "doc.json"
+    path.write_text('{"uploader_capacity": 7.840772169538683e307, "peers": [{"id": '
+                    '"a", "credits": 1.0, "capacity": 1.0136159179084475e308}]}')
+    run = _run_cli("solve", str(path))
+    assert run.returncode == 1
+    assert run.stderr == ("credshare: uploader_capacity 7.840772169538683e+307 plus "
+                          "the peers' total capacity 1.0136159179084475e+308 is not "
+                          "finite\n")
 
 
 def test_subnormal_clearing_price_exits_2(tmp_path):

@@ -1,9 +1,13 @@
-"""Guard: no module of the package keeps state between calls.
+"""Guards over every module of the package: none keeps state between
+calls, and none imports a name it never uses.
 
 A memo behind a `global` statement makes a call's cost (and, if the memo is
 ever wrong, its result) depend on which calls ran before it. State that
 must be shared belongs to the object or the caller that owns it, as a
 game's breakpoint table and a capacity sweep's priced oracle grid do.
+
+An unused import outlives the code that needed it. The package's
+`__init__.py` (re-exports) and `TYPE_CHECKING` blocks are exempt.
 """
 
 import ast
@@ -23,3 +27,35 @@ def test_no_module_assigns_a_global():
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Global))
     assert found == []
+
+
+# imported but not called: perfbench/tracing.py wraps them as attributes
+KEPT_FOR_TRACING = {"protocol.py": {"classify_region"},
+                    "solver.py": {"build_demand_curve"}}
+
+
+def _type_checking_imports(tree):
+    return {id(node) for block in ast.walk(tree)
+            if isinstance(block, ast.If) and isinstance(block.test, ast.Name)
+            and block.test.id == "TYPE_CHECKING"
+            for stmt in block.body for node in ast.walk(stmt)}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(sources) >= 10
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        skipped = _type_checking_imports(tree)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in skipped:
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept = KEPT_FOR_TRACING.get(path.name, set())
+        unused.extend(f"{path.name}:{line} {name}" for name, line in imported.items()
+                      if name not in used and name not in kept)
+    assert unused == []

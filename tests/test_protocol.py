@@ -67,8 +67,35 @@ def test_direct_message_flow_and_sequencing(example4_game):
 def test_direct_aborts_on_misreport(example4_game):
     with pytest.raises(ProtocolAbort) as exc:
         run_direct(example4_game, misreport={"peer2": lambda x: x + 0.5})
-    assert "peer2" in str(exc.value)
-    assert exc.value.trace is not None
+    eq = solve(example4_game)
+    honest = eq.allocation["peer2"]
+    diag = (f"demand reply from peer2 is {honest + 0.5!r}, "
+            f"expected {honest!r} at price {eq.price!r}")
+    assert str(exc.value) == diag
+    assert exc.value.trace.diagnostics == [diag]
+    assert exc.value.trace.rounds == []
+
+
+def test_replay_of_a_direct_trace_reuses_the_solved_table(monkeypatch):
+    # run_direct solves the game it is given, so replay's solve of that game
+    # reads the breakpoint demands already summed: only its residual check
+    # calls aggregate_demand
+    import credshare.solver
+
+    rng = random.Random(12)
+    specs = [(rng.uniform(1.0, 500.0), rng.uniform(0.1, 5.0)) for _ in range(12)]
+    game = make_game(0.5 * sum(d for _, d in specs), specs)
+    _, trace = run_direct(game)
+    calls = []
+    original = credshare.solver.aggregate_demand
+
+    def counting(game, price):
+        calls.append(price)
+        return original(game, price)
+
+    monkeypatch.setattr(credshare.solver, "aggregate_demand", counting)
+    assert replay(trace, game)
+    assert len(calls) == 1
 
 
 def test_direct_aborts_without_demand():

@@ -128,8 +128,9 @@ def test_settlement_of_four_peer_equilibrium(example4_game):
     debits = {
         "peer1": 164.88, "peer2": 123.66, "peer3": 82.44, "peer4": 41.22,
     }
+    peers = {p.id: p for p in example4_game.peers}
     for pid, debit in debits.items():
-        peer = example4_game.peer(pid)
+        peer = peers[pid]
         assert ledger.balance(pid) == pytest.approx(peer.credits - debit, abs=0.01)
     assert ledger.balance("uploader") == pytest.approx(412.20, abs=0.01)
     assert ledger.total() == pytest.approx(total_before, abs=1e-9)

@@ -396,3 +396,13 @@ def test_residual_tolerance_honored():
         if game.oversubscribed and eq.region is not RegionLabel.SATURATED:
             residual = abs(aggregate_demand(game, eq.price) - game.uploader_capacity)
             assert residual <= 1e-9 * max(1.0, game.uploader_capacity)
+
+
+def test_residual_tolerance_scales_with_the_cancelled_capacity():
+    # one ulp of d in c/(mu ln2) - d is 1.9e-9, above 1e-9 * max(1, u_k);
+    # the price is the closed form's, so the solve may not be refused
+    game = make_game(1.0, [(1.0, 15067326.0)])
+    eq = solve(game)
+    assert eq.price == 1.0 / ((1.0 + 15067326.0) * LN2)
+    residual = abs(aggregate_demand(game, eq.price) - 1.0)
+    assert 1e-9 < residual <= 1e-9 * (1.0 + 15067326.0)

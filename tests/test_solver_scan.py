@@ -326,6 +326,16 @@ def test_at_capacity_and_run_scenario_reject_what_the_constructor_rejects(
     assert str(copied.value) == str(simulated.value) == str(built.value)
 
 
+def test_at_capacity_rejects_a_capacity_sum_the_constructor_rejects():
+    game = make_game(1.0, [(1.0, 1e308), (1.0, 5e307)])
+    with pytest.raises(ValidationError) as built:
+        GameInstance(5e307, game.peers)
+    with pytest.raises(ValidationError) as copied:
+        game.at_capacity(5e307)
+    assert str(copied.value) == str(built.value)
+    assert "total capacity 1.5e+308 is not finite" in str(built.value)
+
+
 def test_at_capacity_equals_and_hashes_as_a_built_game(example4_game):
     for u_k in (0.5, 2, 3.75, 5.0, 1e-9):
         copy = example4_game.at_capacity(u_k)
