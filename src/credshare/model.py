@@ -5,15 +5,16 @@ posted bandwidth price mu with a piecewise demand: full capacity below its
 saturation price c/(2 d ln2), the hyperbola c/(mu ln2) - d between that and
 its cutoff price c/(d ln2), and nothing above. Summing over a request set
 gives a continuous, nonincreasing aggregate demand curve whose breakpoints
-are the peers' two thresholds; the solver scans them from the top and
-inverts the one segment that brackets the capacity. DemandCurve materializes
-every segment, for inspection only.
+are the peers' two thresholds; the solver walks them to the one segment
+that brackets the capacity and inverts it. DemandCurve materializes every
+segment, for inspection only.
 
 A game owns one priority order of its peers (ratio descending, id
 ascending on ties) and the market window read off it, both computed once.
 Every demand total, demands_at's included, is summed in that order, so no
 total, price or region label depends on the order the peers are listed in.
-The solver's breakpoint table lives on the game too; at_capacity shares it.
+The solver's breakpoint table lives on the game too, with the bracket its
+last solve found as the next solve's start; at_capacity shares both.
 
 Threshold values are computed once per peer from the priority ratio
 h = c/d (cutoff = h/ln2, saturation = cutoff/2, exact halving) so equal
@@ -104,7 +105,8 @@ class PeerProfile:
 class GameInstance:
     """One pricing round: an uploader's capacity and its request set, the
     peers' total_capacity (summed in listing order; its sum with the
-    uploader's capacity must be finite), and the market window, from
+    uploader's capacity must be finite, as must the peers' total credits),
+    and the market window, from
     saturation_floor (the lowest saturation price of a credited peer; None
     without one) up to market_top (the top cutoff)."""
 
@@ -124,7 +126,7 @@ class GameInstance:
         if not self.peers:
             raise ValidationError("peer set must be non-empty")
         seen = set()
-        total_capacity = 0.0  # in listing order
+        total_capacity = total_credits = 0.0  # in listing order
         for peer in self.peers:
             if not isinstance(peer, PeerProfile):
                 raise ValidationError("peers must be PeerProfile instances")
@@ -132,8 +134,13 @@ class GameInstance:
                 raise ValidationError(f"duplicate peer id {peer.id!r}")
             seen.add(peer.id)
             total_capacity += peer.capacity
+            total_credits += peer.credits
         object.__setattr__(self, "total_capacity", total_capacity)
         self._require_finite_sum(self.uploader_capacity)
+        # the solver inverts at the active peers' summed credits
+        if not math.isfinite(total_credits):
+            raise ValidationError(
+                f"the peers' total credits {total_credits} is not finite")
         priority = tuple(sorted(self.peers, key=lambda p: (-p.ratio, p.id)))
         # a credited peer's ratio is > 0 and a free rider's 0.0, so the credited
         # peers are the prefix of the priority order with -ratio below 0.0
@@ -178,14 +185,18 @@ class GameInstance:
         return self._credited
 
     def _breakpoint_table(self):
-        """The credited peers' sorted distinct thresholds and the demand at
-        each (None until a solve sums it). Published whole by one assignment;
-        every entry is a function of the peers, whichever caller fills it."""
+        """The credited peers' sorted distinct thresholds, the demand at
+        each (None until a solve sums it), and a one-element list holding
+        the bracket index of the last solve (the top index until then), a
+        start point for the next solve's search that never changes its
+        result. Published whole by one assignment; every demand is a
+        function of the peers, whichever caller fills it."""
         table = self._table_slot[0]
         if table is None:
             breakpoints = sorted({t for p in self._credited
                                   for t in (p.saturation_price, p.cutoff_price)})
-            table = self._table_slot[0] = (breakpoints, [None] * len(breakpoints))
+            table = self._table_slot[0] = (breakpoints, [None] * len(breakpoints),
+                                           [len(breakpoints) - 1])
         return table
 
 

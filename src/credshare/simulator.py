@@ -6,7 +6,10 @@ present (with their live ledger balances as credits) and opens a new
 timeline epoch; a settle event charges each downloader price * allocation
 out of its balance and credits the uploader, leaving the epoch untouched.
 Spending therefore lowers a peer's priority ratio at the next churn event,
-which is the mechanism's intended feedback.
+which is the mechanism's intended feedback. Consecutive games differ by one
+peer and the spent credits, so each re-solve starts its search for the
+bracketing segment at the previous epoch's price; the start never changes
+the result.
 
 The event loop is single threaded and deterministic: identical scenarios
 produce identical timelines and ledgers.
@@ -245,7 +248,8 @@ def run_scenario(uploader_capacity: float,
             for p in present.values()
         ]
         game = GameInstance(uploader_capacity, roster)
-        return solve(game), game
+        # one event moves the price little, so the search starts near the last
+        return solve(game, near=open_eq.price if open_eq is not None else None), game
 
     for ev in events:
         if ev.kind is EventKind.SETTLE:

@@ -9,9 +9,10 @@ priority ratios a saturation plateau above it can out-earn it while
 leaving capacity idle, which the brute-force oracle measures.)
 
 Demand is piecewise hyperbolic between threshold breakpoints and strictly
-decreasing wherever some peer is price sensitive, so the solver scans the
-sorted breakpoints from the top, evaluating aggregate_demand at each, until
-one segment brackets the capacity, and inverts that segment in closed form:
+decreasing wherever some peer is price sensitive, so the solver walks the
+sorted breakpoints, evaluating aggregate_demand at each it reaches, to the
+one segment that brackets the capacity, and inverts that segment in closed
+form:
 
     mu = sum(c, active) / ((u_k - sum(d, saturated) + sum(d, active)) * ln2)
 
@@ -20,11 +21,18 @@ structure is an inspection utility, not part of the solve path. Where
 demand is flat at exactly the capacity (a plateau), the supremum price of
 the plateau is returned, since revenue mu * u_k rises with mu along it.
 
+The walk starts at the segment holding a hint price (solve's near=), else
+at the bracket the game's last solve found, else at the top, and goes up or
+down from there; float demand never rises with the price, so every start
+gives the same segment. A cold solve without a hint reads the
+breakpoints from the top down, while a churn re-solve hinted with the last
+price, or a re-solve of the same game, reads the few around its bracket.
+
 The sorted breakpoints and the demand at each depend only on the peers, so
-they live on the game, each demand summed the first time a scan reads it,
-and GameInstance.at_capacity copies share them: a capacity sweep sorts its
-breakpoints once, sums each breakpoint's demand once, and redoes only the
-scan's comparisons, the inversion and the residual check at each capacity.
+they live on the game with the last bracket, each demand summed the first
+time a walk reads it, and GameInstance.at_capacity copies share them: a
+capacity sweep sorts its breakpoints once, sums each breakpoint's demand at
+most once, and starts each capacity's walk at the previous one's bracket.
 
 Every sum is taken in the game's priority order
 (GameInstance.sorted_by_priority), so the price, the revenue and the
@@ -36,6 +44,7 @@ testable entry points and must agree with solve() on their domains.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -139,7 +148,8 @@ def _demand_at(game: GameInstance, breakpoints, demand, i: int) -> float:
     return value
 
 
-def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibrium:
+def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG, *,
+          near: Optional[float] = None) -> Equilibrium:
     """Compute the clearing price and the equilibrium it induces.
 
     Oversubscribed games get the largest price with demand equal to supply.
@@ -147,6 +157,11 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
     price, the largest price at which every credited peer still buys its
     full capacity. Games with no credits at all get a unit price, an empty
     allocation, and the insufficient label.
+
+    near, a price, only says where to start looking for the bracketing
+    segment: at the segment that holds it. Without it the search starts at
+    the bracket the game's breakpoint table recorded at its last solve, or
+    at the top for a fresh table. The result never depends on the start.
 
     Raises ConvergenceError when the price misses the capacity by more than
     the residual tolerance, relative to max(1, u_k + the capacity of the
@@ -160,41 +175,52 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG) -> Equilibr
 
     # every credited peer buys its full capacity up to the lowest saturation
     # price, which is the lowest breakpoint
-    breakpoints, demand = game._breakpoint_table()
+    breakpoints, demand, recorded = game._breakpoint_table()
     credited_capacity = _demand_at(game, breakpoints, demand, 0)
     if credited_capacity <= u_k:
         return equilibrium_at(game, game.saturation_floor)
 
-    # Segments (breakpoints[j-1], breakpoints[j]], scanned from the top.
-    # Demand at the top cutoff is 0 in theory and taken as 0.0, so every
-    # scanned upper end demands at most u_k and the first lower end that
-    # demands more brackets it. Float demand never rises with the price, so
-    # no lower segment brackets it again; the lowest segment's lower end
-    # demands credited_capacity > u_k, so the scan always stops.
-    hi_val = 0.0
+    # Segment j is (breakpoints[j-1], breakpoints[j]]. Demand at the top
+    # cutoff is 0 in theory and taken as 0.0; the lowest segment's lower end
+    # demands credited_capacity > u_k. A segment stops the search when its
+    # lower end demands more than u_k (it brackets u_k) or when both its
+    # ends demand exactly u_k (a plateau). Float demand never rises with
+    # the price, so the segments that stop it are exactly those at or below
+    # one index, and the answer is that highest stopping segment, wherever
+    # the walk to it starts.
+    last = len(breakpoints) - 1
+
+    def lower(j):
+        return _demand_at(game, breakpoints, demand, j - 1) if j else credited_capacity
+
+    def stops(j):
+        lo_val = lower(j)
+        return lo_val > u_k or (lo_val == u_k and j < last and lower(j + 1) == u_k)
+
+    j = recorded[0] if near is None else min(bisect_left(breakpoints, near), last)
+    if stops(j):
+        while j < last and stops(j + 1):
+            j += 1
+    else:
+        j -= 1
+        while not stops(j):
+            j -= 1
+    recorded[0] = j
+
+    # on a plateau, the supremum price of the flat stretch; on a flat
+    # segment whose endpoint evaluations straddle u_k by rounding only, the
+    # supremum price clears it too
+    price = top = breakpoints[j]
     active_capacity = 0.0  # a plateau or flat segment has no active peer
-    for j in range(len(breakpoints) - 1, -1, -1):
-        top = breakpoints[j]
-        lo_val = (_demand_at(game, breakpoints, demand, j - 1) if j
-                  else credited_capacity)
-        if hi_val == u_k == lo_val:
-            price = top  # plateau: the supremum price of the flat stretch
-            break
-        if lo_val > u_k:
-            active = [p for p in credited
-                      if p.saturation_price < top <= p.cutoff_price]
-            if not active:
-                # flat segment whose endpoint evaluations straddle u_k by
-                # rounding only: the supremum price clears it
-                price = top
-            else:
-                sat_capacity = sum(p.capacity for p in credited
-                                   if p.saturation_price >= top)
-                active_credits = sum(p.credits for p in active)
-                active_capacity = sum(p.capacity for p in active)
-                price = active_credits / ((u_k - sat_capacity + active_capacity) * LN2)
-            break
-        hi_val = lo_val
+    if lower(j) > u_k:
+        active = [p for p in credited
+                  if p.saturation_price < top <= p.cutoff_price]
+        if active:
+            sat_capacity = sum(p.capacity for p in credited
+                               if p.saturation_price >= top)
+            active_credits = sum(p.credits for p in active)
+            active_capacity = sum(p.capacity for p in active)
+            price = active_credits / ((u_k - sat_capacity + active_capacity) * LN2)
 
     # evaluating demand at price cancels c/(mu ln2) against d for each
     # active peer, so its rounding scales with u_k plus their capacity

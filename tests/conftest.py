@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from credshare import GameInstance, PeerProfile
+
+# property tests draw the same examples on every run, and only so many
+settings.register_profile("credshare", derandomize=True, max_examples=200,
+                          deadline=None, database=None)
+settings.load_profile("credshare")
 
 EXAMPLE4_CREDITS = (400.0, 300.0, 200.0, 100.0)
 EXAMPLE4_CAPACITIES = (2.0, 1.5, 1.0, 0.5)

@@ -460,6 +460,18 @@ def test_capacity_sum_overflow_exits_1(tmp_path):
                           "finite\n")
 
 
+def test_credit_sum_overflow_exits_1(tmp_path):
+    # the inversion's credit sum overflows: the price would be inf and the
+    # residual check would take the blame
+    path = tmp_path / "doc.json"
+    path.write_text('{"uploader_capacity": 1.5, "peers": [{"id": "a", "credits": '
+                    '1e308, "capacity": 1}, {"id": "b", "credits": 1e308, '
+                    '"capacity": 1}]}')
+    run = _run_cli("solve", str(path))
+    assert run.returncode == 1
+    assert run.stderr == "credshare: the peers' total credits inf is not finite\n"
+
+
 def test_subnormal_clearing_price_exits_2(tmp_path):
     # the clearing price at 1.5 is subnormal and misses the capacity
     path = tmp_path / "doc.json"

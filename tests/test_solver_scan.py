@@ -1,5 +1,6 @@
-"""solve()'s top-down breakpoint scan against the curve-based bracket step
-it replaced, plus seeded property loops over the clearing price."""
+"""solve()'s breakpoint search (from the top, for a cold solve) against the
+curve-based bracket step it replaced, plus seeded property loops over the
+clearing price. tests/test_solver_start.py covers the other start points."""
 
 import itertools
 import random
