@@ -186,16 +186,27 @@ class GameInstance:
 
     def _breakpoint_table(self):
         """The credited peers' sorted distinct thresholds, the demand at
-        each (None until a solve sums it), and a one-element list holding
-        the bracket index of the last solve (the top index until then), a
-        start point for the next solve's search that never changes its
-        result. Published whole by one assignment; every demand is a
-        function of the peers, whichever caller fills it."""
+        each (None until a solve sums it, except the lowest), and a
+        one-element list holding the bracket index of the last solve (the
+        top index until then), a start point for the next solve's search
+        that never changes its result. Published whole by one assignment;
+        every demand is a function of the peers, whichever caller fills it.
+
+        The lowest breakpoint is the lowest saturation price: there every
+        credited peer buys its full capacity and a free rider 0.0, so the
+        running sum of the credited capacities in priority order has the
+        bits aggregate_demand would sum there."""
         table = self._table_slot[0]
         if table is None:
             breakpoints = sorted({t for p in self._credited
                                   for t in (p.saturation_price, p.cutoff_price)})
-            table = self._table_slot[0] = (breakpoints, [None] * len(breakpoints),
+            demand = [None] * len(breakpoints)
+            if breakpoints:
+                credited_capacity = 0.0
+                for p in self._credited:
+                    credited_capacity += p.capacity
+                demand[0] = credited_capacity
+            table = self._table_slot[0] = (breakpoints, demand,
                                            [len(breakpoints) - 1])
         return table
 

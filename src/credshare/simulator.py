@@ -9,7 +9,11 @@ Spending therefore lowers a peer's priority ratio at the next churn event,
 which is the mechanism's intended feedback. Consecutive games differ by one
 peer and the spent credits, so each re-solve starts its search for the
 bracketing segment at the previous epoch's price; the start never changes
-the result.
+the result. Each present peer keeps its profile from one game to the next,
+and a re-solve rebuilds (and so validates again) only the profiles of the
+peers whose balance has moved since theirs was built: the payers of the
+settles in between, and a rejoining peer whose balance is no longer its
+endowment.
 
 The event loop is single threaded and deterministic: identical scenarios
 produce identical timelines and ledgers.
@@ -226,7 +230,7 @@ def run_scenario(uploader_capacity: float,
 
     ledger = Ledger()
     epochs: List[Epoch] = []
-    present: Dict[str, PeerProfile] = {}
+    present: Dict[str, PeerProfile] = {}  # credited with the balance of its last build
     open_start: Optional[float] = None
     open_eq: Optional[Equilibrium] = None
     open_game: Optional[GameInstance] = None
@@ -243,11 +247,13 @@ def run_scenario(uploader_capacity: float,
     def resolve():
         if not present:
             return None, None
-        roster = [
-            PeerProfile(p.id, ledger.balance(p.id), p.capacity)
-            for p in present.values()
-        ]
-        game = GameInstance(uploader_capacity, roster)
+        # a peer's profile is rebuilt, and so validated again, only when its
+        # balance has moved off the credits it was built with
+        for peer_id, peer in present.items():
+            balance = ledger.balance(peer_id)
+            if balance != peer.credits:
+                present[peer_id] = PeerProfile(peer_id, balance, peer.capacity)
+        game = GameInstance(uploader_capacity, tuple(present.values()))
         # one event moves the price little, so the search starts near the last
         return solve(game, near=open_eq.price if open_eq is not None else None), game
 

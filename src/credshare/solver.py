@@ -30,9 +30,12 @@ price, or a re-solve of the same game, reads the few around its bracket.
 
 The sorted breakpoints and the demand at each depend only on the peers, so
 they live on the game with the last bracket, each demand summed the first
-time a walk reads it, and GameInstance.at_capacity copies share them: a
-capacity sweep sorts its breakpoints once, sums each breakpoint's demand at
-most once, and starts each capacity's walk at the previous one's bracket.
+time a walk reads it, and GameInstance.at_capacity copies share them. The
+lowest breakpoint's demand, which decides saturation, is never summed: a
+fresh table holds it as the credited capacities' priority-order sum, the
+bits aggregate_demand gives there. A capacity sweep sorts its breakpoints
+once, sums each breakpoint's demand at most once, and starts each
+capacity's walk at the previous one's bracket.
 
 Every sum is taken in the game's priority order
 (GameInstance.sorted_by_priority), so the price, the revenue and the
@@ -174,9 +177,10 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG, *,
         return equilibrium_at(game, 1.0)
 
     # every credited peer buys its full capacity up to the lowest saturation
-    # price, which is the lowest breakpoint
+    # price, which is the lowest breakpoint; a fresh table holds the demand
+    # there already, summed from the credited capacities
     breakpoints, demand, recorded = game._breakpoint_table()
-    credited_capacity = _demand_at(game, breakpoints, demand, 0)
+    credited_capacity = demand[0]
     if credited_capacity <= u_k:
         return equilibrium_at(game, game.saturation_floor)
 

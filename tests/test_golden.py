@@ -5,6 +5,11 @@ program printed it before the solver and protocol were reduced to one
 assembly path; any change to them must be explained by the change that
 makes it. example4_instance.json is the example4 game written by
 save_instance, the input of the bargaining golden.
+
+churn30_scenario.json is a seeded 30-peer churn scenario: double settles
+that run payers dry, leaves, a zero-credit joiner and a rejoin after
+spending. churn30_simulate.out is what `simulate` printed for it while
+every re-solve still rebuilt every present peer's profile.
 """
 
 from pathlib import Path
@@ -24,6 +29,7 @@ CASES = [
     (["example", "example4", "--oracle"], "example4_oracle.out"),
     (["bargain", str(GOLDEN / "example4_instance.json"), "--step", "1", "--seed", "0"],
      "bargain_example4_step1_seed0.out"),
+    (["simulate", str(GOLDEN / "churn30_scenario.json")], "churn30_simulate.out"),
 ]
 
 

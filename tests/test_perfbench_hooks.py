@@ -26,3 +26,31 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
         tracer.restore()
     for owner, attr in hooks:
         assert getattr(getattr(owner, attr), "__name__", attr) != "traced", attr
+
+
+def test_the_peer_hook_sees_the_profiles_a_settle_makes_the_simulator_rebuild(
+        monkeypatch):
+    # run_scenario builds a moved balance's profile through the module name
+    # the tracer wraps, so a traced run counts and times its validation
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    from credshare import EventKind, PeerProfile, ScenarioEvent, simulator
+
+    peers = [PeerProfile("a", 400.0, 2.0), PeerProfile("b", 100.0, 1.0)]
+    events = [ScenarioEvent(0.0, EventKind.JOIN, peer=peers[0]),
+              ScenarioEvent(1.0, EventKind.JOIN, peer=peers[1]),
+              ScenarioEvent(2.0, EventKind.SETTLE),
+              ScenarioEvent(3.0, EventKind.JOIN, peer=PeerProfile("c", 1.0, 1.0))]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, workloads)
+        timeline, ledger = simulator.run_scenario(2.5, events)
+    finally:
+        tracer.restore()
+    payers = {entry.payer for entry in ledger.log}
+    assert payers == {"a", "b"}
+    # the game hook counts each epoch's roster; the rest is the peer hook's,
+    # one per payer rebuilt for the last epoch
+    rosters = sum(len(ep.game.peers) for ep in timeline.epochs)
+    assert tracer.count["model.peers"] - rosters == len(payers)

@@ -2,22 +2,31 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import credshare.simulator
 from credshare import (
+    ConvergenceError,
+    Epoch,
     EventKind,
     GameInstance,
     Ledger,
     PeerProfile,
     ScenarioEvent,
+    TimelineRecord,
     ValidationError,
     apply_transaction,
     churn_check,
+    ledger_csv,
     run_scenario,
     solve,
 )
 from credshare.experiments import example_scenario
+from credshare.simulator import validate_scenario
 
 from conftest import make_game
+from test_solver_scan import _bits
 
 # per-epoch expectations for the staggered-join scenario, from the
 # all-interior closed form mu = sum(c) / ((u_k + sum(d)) ln2)
@@ -288,3 +297,180 @@ def test_credit_conservation_over_random_scenarios():
         slack = max(1e-9, 1e-9 * len(ledger.log))
         assert ledger.total() == pytest.approx(joined_credits, abs=slack)
         assert all(b >= -1e-12 for b in ledger.balances.values())
+
+
+# --- profiles kept across epochs -----------------------------------------------
+
+def _reference_run(uploader_capacity, events):
+    """run_scenario as it was before profiles were kept: every re-solve builds
+    a fresh profile for every present peer from its ledger balance."""
+    events = list(events)
+    validate_scenario(events)
+    ledger = Ledger()
+    epochs, present = [], {}
+    open_start, open_eq, open_game, open_ids = None, None, None, ()
+    for ev in events:
+        if ev.kind is EventKind.SETTLE:
+            if open_eq is not None:
+                apply_transaction(ledger, open_eq, ev.time)
+            continue
+        if open_start is not None and ev.time > open_start:
+            epochs.append(Epoch(open_start, ev.time, open_eq, open_ids, open_game))
+        if ev.kind is EventKind.JOIN:
+            ledger.register(ev.peer.id, ev.peer.credits)
+            present[ev.peer.id] = ev.peer
+        else:
+            del present[ev.peer_id]
+        open_start, open_eq, open_game = ev.time, None, None
+        if present:
+            open_game = GameInstance(uploader_capacity, [
+                PeerProfile(p.id, ledger.balance(p.id), p.capacity)
+                for p in present.values()])
+            open_eq = solve(open_game)
+        open_ids = tuple(present)
+    if open_start is not None:
+        epochs.append(Epoch(open_start, math.inf, open_eq, open_ids, open_game))
+    return TimelineRecord(tuple(epochs)), ledger
+
+
+def _roster_bits(game):
+    if game is None:
+        return None
+    return [(p.id, p.credits.hex(), p.capacity.hex()) for p in game.peers]
+
+
+def _run_outcome(run, capacity, events):
+    """Every epoch's bits and roster, the timeline and ledger text, or the
+    error the run raised."""
+    try:
+        timeline, ledger = run(capacity, events)
+    except (ValidationError, ConvergenceError) as error:
+        return type(error).__name__, str(error)
+    epochs = [(ep.start, ep.end, ep.peer_ids, _roster_bits(ep.game),
+               None if ep.equilibrium is None else _bits(ep.equilibrium))
+              for ep in timeline.epochs]
+    return epochs, timeline.to_csv(), ledger_csv(ledger)
+
+
+def _settle_heavy_scenario(rng):
+    """Joins, double settles that run payers dry, leaves, rejoins of
+    departed peers under their first profile, and zero-credit joiners."""
+    events, present, departed = [], {}, []
+    time, serial = 0.0, 0
+    for _ in range(rng.randint(4, 40)):
+        time += rng.choice((0.0, 0.5, 1.0))
+        roll = rng.random()
+        if roll < 0.3 or not present:
+            if departed and rng.random() < 0.3:
+                peer = departed.pop(rng.randrange(len(departed)))
+            else:
+                serial += 1
+                d = rng.uniform(0.1, 5.0)
+                credits = 0.0 if rng.random() < 0.15 else 10 ** rng.uniform(-1, 3) * d
+                peer = PeerProfile(f"p{serial}", credits, d)
+            present[peer.id] = peer
+            events.append(ScenarioEvent(time, EventKind.JOIN, peer=peer))
+        elif roll < 0.45:
+            peer = present.pop(rng.choice(sorted(present)))
+            departed.append(peer)
+            events.append(ScenarioEvent(time, EventKind.LEAVE, peer_id=peer.id))
+        else:
+            for _ in range(rng.randint(1, 3)):
+                events.append(ScenarioEvent(time, EventKind.SETTLE))
+    total = sum(p.capacity for p in present.values()) or 1.0
+    return rng.uniform(0.1, 1.2) * total, events
+
+
+def test_kept_profiles_give_the_bits_of_rebuilt_ones():
+    rng = random.Random(113)
+    rejoined_after_paying = exhausted = zero_joins = 0
+    for _ in range(150):
+        capacity, events = _settle_heavy_scenario(rng)
+        kept = _run_outcome(run_scenario, capacity, events)
+        assert kept == _run_outcome(_reference_run, capacity, events)
+        _, ledger = run_scenario(capacity, events)
+        seen = set()
+        for ev in events:
+            if ev.kind is EventKind.JOIN:
+                rejoined_after_paying += ev.peer.id in seen and any(
+                    e.payer == ev.peer.id and e.time < ev.time for e in ledger.log)
+                zero_joins += ev.peer.credits == 0.0
+                seen.add(ev.peer.id)
+        exhausted += bool(ledger.exhausted)
+    assert min(rejoined_after_paying, exhausted, zero_joins) >= 50, (
+        rejoined_after_paying, exhausted, zero_joins)
+
+
+@st.composite
+def _scenarios(draw):
+    """Joins, leaves, rejoins and runs of settles on small extreme-ish games."""
+    events, present, departed = [], {}, []
+    serial = 0
+    for step in range(draw(st.integers(1, 20))):
+        kind = draw(st.sampled_from(("join", "join", "leave", "settle")))
+        if kind == "join" or not present:
+            if departed and draw(st.booleans()):
+                peer = departed.pop()
+            else:
+                serial += 1
+                peer = PeerProfile(f"p{serial}",
+                                   draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e4))),
+                                   draw(st.floats(1e-2, 1e2)))
+            present[peer.id] = peer
+            events.append(ScenarioEvent(float(step), EventKind.JOIN, peer=peer))
+        elif kind == "leave":
+            peer = present.pop(draw(st.sampled_from(sorted(present))))
+            departed.append(peer)
+            events.append(ScenarioEvent(float(step), EventKind.LEAVE, peer_id=peer.id))
+        else:
+            events.extend(ScenarioEvent(float(step), EventKind.SETTLE)
+                          for _ in range(draw(st.integers(1, 3))))
+    return draw(st.floats(1e-2, 1e3)), events
+
+
+@given(_scenarios())
+def test_property_kept_profiles_give_the_bits_of_rebuilt_ones(scenario):
+    capacity, events = scenario
+    assert (_run_outcome(run_scenario, capacity, events)
+            == _run_outcome(_reference_run, capacity, events))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The ids run_scenario builds a PeerProfile for, in call order."""
+    ids = []
+    original = credshare.simulator.PeerProfile
+
+    def counting(peer_id, *args):
+        ids.append(peer_id)
+        return original(peer_id, *args)
+
+    monkeypatch.setattr(credshare.simulator, "PeerProfile", counting)
+    return ids
+
+
+def test_growth_rebuilds_no_profile(built):
+    rng = random.Random(127)
+    events = [ScenarioEvent(float(t), EventKind.JOIN,
+                            peer=PeerProfile(f"p{t}", rng.uniform(1.0, 500.0),
+                                             rng.uniform(0.1, 5.0)))
+              for t in range(30)]
+    timeline, _ = run_scenario(10.0, events)
+    assert len(timeline.epochs) == 30
+    assert built == []
+
+
+def test_a_join_after_a_settle_rebuilds_exactly_the_charged_payers(built):
+    rng = random.Random(131)
+    peers = [PeerProfile(f"p{i}", rng.uniform(1.0, 500.0), rng.uniform(0.1, 5.0))
+             for i in range(12)]
+    events = [ScenarioEvent(float(t), EventKind.JOIN, peer=p)
+              for t, p in enumerate(peers)]
+    events.append(ScenarioEvent(12.0, EventKind.SETTLE))
+    events.append(ScenarioEvent(13.0, EventKind.JOIN,
+                                peer=PeerProfile("late", 100.0, 1.0)))
+    capacity = 0.5 * sum(p.capacity for p in peers)
+    _, ledger = run_scenario(capacity, events)
+    payers = [entry.payer for entry in ledger.log]
+    assert 0 < len(payers) < len(peers)  # some peers were priced out
+    assert sorted(built) == sorted(payers)

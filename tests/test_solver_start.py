@@ -195,21 +195,72 @@ def summed(monkeypatch):
 
 
 def _top_scan_prices(game):
-    """The breakpoints at which the top-down scan summed demand, in order,
-    for an oversubscribed game: the lowest, then each segment's lower end
-    from the top down until one brackets u_k or lies on a plateau at it."""
+    """The breakpoints at which the top-down scan sums demand, in order, for
+    an oversubscribed game: each segment's lower end from the top down until
+    one brackets u_k or lies on a plateau at it, except the lowest
+    breakpoint, whose demand a fresh table holds from the credited
+    capacities."""
     points = _breakpoints(game)
     u_k = game.uploader_capacity
-    prices = [points[0]]
+    prices = []
     hi_val = 0.0
     for j in range(len(points) - 1, 0, -1):
         lo_val = aggregate_demand(game, points[j - 1])
-        if j > 1:  # the lowest breakpoint's sum was kept
+        if j > 1:  # the lowest breakpoint's demand is never summed
             prices.append(points[j - 1])
         if hi_val == u_k == lo_val or lo_val > u_k:
             break
         hi_val = lo_val
     return prices
+
+
+def _saturated_game(rng):
+    """Credited capacity at most u_k, sometimes exactly u_k."""
+    game = random_oversubscribed(rng, 8)
+    credited_capacity = 0.0
+    for p in game.credited():
+        credited_capacity += p.capacity
+    return GameInstance(credited_capacity * rng.choice((1.0, 1.0, 1.5)), game.peers)
+
+
+def _free_rider_game(rng):
+    game = random_oversubscribed(rng, 6)
+    riders = [PeerProfile(f"f{i}", 0.0, rng.uniform(0.1, 5.0))
+              for i in range(rng.randint(1, 3))]
+    return GameInstance(game.uploader_capacity, game.peers + tuple(riders))
+
+
+def _assert_table_holds_the_lowest_demand(game):
+    """Solve a fresh game, then compare its table's lowest-breakpoint demand
+    with a sum of every peer's demand there; the solve's region, or the
+    error it raised."""
+    outcome = _outcome(game)
+    breakpoints, demand, _ = game._breakpoint_table()
+    assert demand[0].hex() == aggregate_demand(game, breakpoints[0]).hex(), game
+    return outcome if isinstance(outcome, str) else outcome[2]
+
+
+@pytest.mark.parametrize("family", [random_oversubscribed, _saturated_game,
+                                    _free_rider_game, _tied_game],
+                         ids=["oversubscribed", "saturated", "free riders", "tied"])
+def test_a_fresh_table_holds_the_lowest_breakpoint_demand(family):
+    rng = random.Random(53)
+    regions = []
+    for _ in range(400):
+        game = family(rng)
+        if game.credited():
+            regions.append(_assert_table_holds_the_lowest_demand(game))
+    saturated = regions.count(RegionLabel.SATURATED)
+    if family is _saturated_game:
+        assert saturated == len(regions) == 400
+    else:
+        assert len(regions) > 300 and saturated < len(regions), (family, saturated)
+
+
+@given(_games())
+def test_property_a_fresh_table_holds_the_lowest_breakpoint_demand(game):
+    if game.credited():
+        _assert_table_holds_the_lowest_demand(game)
 
 
 @pytest.mark.parametrize("n, games", [(100, 6), (1000, 2)])
@@ -267,7 +318,7 @@ def test_churn_re_solves_start_at_the_previous_price(summed):
         assert _bits(solve(_fresh(ep.game))) == _bits(ep.equilibrium)
     cold = len(summed)
     # one residual check per oversubscribed epoch; beyond those the searches
-    # sum 362 breakpoint demands here (5 639 from the top)
+    # sum 237 breakpoint demands here (5 514 from the top)
     checks = sum(ep.equilibrium.region is not RegionLabel.SATURATED
                  for ep in timeline.epochs)
     assert warm - checks <= 400 and cold > 10 * warm, (warm, checks, cold)
