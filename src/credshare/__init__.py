@@ -1,9 +1,11 @@
 """Credit-based uplink pricing for P2P streaming.
 
 An uploader posts a uniform bandwidth price; downloaders with credit
-balances best-respond with purchases; the revenue-optimal price clears the
-uploader's capacity exactly. The package provides the closed-form solver,
-a brute-force oracle, two distributed protocol realizations (one-round and
+balances best-respond with purchases. The solver computes the clearing
+price, the largest price at which demand equals the uploader's capacity
+(with widely spread priority ratios a higher price can earn more while
+leaving capacity idle). The package provides that solver, a brute-force
+price oracle, two distributed protocol realizations (one-round and
 iterative bargaining), and a churn simulator with a credit ledger.
 """
 
@@ -23,7 +25,7 @@ from .model import (
     downloader_utility,
     satisfaction,
 )
-from .oracle import GridSpec, ProbeResult, deviation_probe, grid_search_price
+from .oracle import GridSpec, grid_search_price
 from .protocol import (
     BargainConfig,
     Message,
@@ -43,20 +45,10 @@ from .simulator import (
     ScenarioEvent,
     TimelineRecord,
     apply_transaction,
-    churn_check,
     ledger_csv,
     run_scenario,
 )
-from .solver import (
-    SolverConfig,
-    VerificationReport,
-    balance_region_price,
-    classify_region,
-    ordered_threshold_price,
-    solve,
-    two_peer_price,
-    verify_se,
-)
+from .solver import SolverConfig, classify_region, solve
 
 __version__ = "0.1.0"
 
@@ -78,7 +70,6 @@ __all__ = [
     "MessageKind",
     "OracleError",
     "PeerProfile",
-    "ProbeResult",
     "ProtocolAbort",
     "ProtocolTrace",
     "RefinementEvent",
@@ -88,25 +79,18 @@ __all__ = [
     "TimelineRecord",
     "TraceRound",
     "ValidationError",
-    "VerificationReport",
     "aggregate_demand",
     "apply_transaction",
-    "balance_region_price",
     "best_response",
     "build_demand_curve",
-    "churn_check",
     "classify_region",
-    "deviation_probe",
     "downloader_utility",
     "grid_search_price",
     "ledger_csv",
-    "ordered_threshold_price",
     "replay",
     "run_bargaining",
     "run_direct",
     "run_scenario",
     "satisfaction",
     "solve",
-    "two_peer_price",
-    "verify_se",
 ]

@@ -2,8 +2,9 @@
 
 Subcommands: solve, sweep, bargain, simulate, example. Instances and
 scenarios come in as JSON, tabular results go out as CSV (stdout or
---output). Exit codes: 0 success, 1 validation problem, 2 convergence or
-protocol failure.
+--output). Exit codes: 0 success, 1 validation problem (an unreadable
+input or unwritable output included), 2 convergence, protocol or oracle
+failure.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import functools
 import os
 import sys
 
-from .errors import ConvergenceError, ProtocolAbort, ValidationError
+from .errors import ConvergenceError, OracleError, ProtocolAbort, ValidationError
 from .experiments import (
     CAPACITY_SWEEP_STEPS,
     EXAMPLE_NAMES,
@@ -35,8 +36,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _write(text: str, output):
     if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -135,7 +139,10 @@ def cmd_simulate(args) -> int:
 def cmd_example(args) -> int:
     artifacts = run_example(args.name, oracle=args.oracle)
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
+        try:
+            os.makedirs(args.output, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.output}: {exc}") from exc
         for filename, text in artifacts:
             path = os.path.join(args.output, filename)
             _write(text, path)
@@ -212,7 +219,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"credshare: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, ProtocolAbort) as exc:
+    except (ConvergenceError, OracleError, ProtocolAbort) as exc:
         print(f"credshare: {exc}", file=sys.stderr)
         return 2
 

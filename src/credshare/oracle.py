@@ -1,10 +1,10 @@
-"""Brute-force references used to certify the exact solver.
+"""Brute-force price search, used to cross-check the exact solver.
 
-Two independent routes: a grid search over prices for the uploader's
-problem (admissible iff demand fits the capacity), and a grid search over
-purchases for a single downloader's problem (raw utility, no closed form).
-Both are deliberately dumb and vectorized with numpy; they exist to catch
-mistakes in the closed forms, not to be fast paths.
+A grid search over prices for the uploader's problem (admissible iff
+demand fits the capacity), deliberately dumb and vectorized with numpy; it
+exists to catch mistakes in the solver, not to be a fast path. The
+downloader-side probe, a grid search over one peer's purchases, is a test
+reference and lives in tests/reference.py.
 
 The price grid, its demand and its revenue depend only on the peers and the
 window, so a caller searching one peer set at many capacities may hand every
@@ -19,10 +19,10 @@ module (and the package, which re-exports it) does not load numpy.
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .errors import OracleError, ValidationError
-from .model import LN2, GameInstance, PeerProfile
+from .model import LN2, GameInstance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,7 +90,8 @@ def grid_search_price(game: GameInstance, spec: Optional[GridSpec] = None,
     A grid price is admissible only when the demand it draws fits the
     capacity (the uploader cannot ration a uniform price). If the window
     contains no admissible price it is widened upward once by its own
-    width; a second failure raises OracleError.
+    width; a second failure, or a widened top past the float range, raises
+    OracleError.
 
     grids, which searches of one peer set may share, maps each window
     priced so far to (prices, demand, prices * demand); a search adds the
@@ -122,10 +123,13 @@ def grid_search_price(game: GameInstance, spec: Optional[GridSpec] = None,
 
     found = search(spec)
     if found is None:
-        widened = GridSpec(spec.price_max,
-                           spec.price_max + (spec.price_max - spec.price_min),
-                           spec.resolution)
-        found = search(widened)
+        top = spec.price_max + (spec.price_max - spec.price_min)
+        if not math.isfinite(top):
+            raise OracleError(
+                f"no admissible price in [{spec.price_min}, {spec.price_max}], "
+                "and widening the window overflows the float range"
+            )
+        found = search(GridSpec(spec.price_max, top, spec.resolution))
     if found is None:
         raise OracleError(
             f"no admissible price in [{spec.price_min}, {spec.price_max}] "
@@ -145,26 +149,3 @@ def revenue_agreement(game: GameInstance, solver_revenue: float,
     slack = spec.resolution * (2.0 * game.uploader_capacity + game.total_capacity)
     slack += 1e-9 * (1.0 + abs(solver_revenue))
     return abs(oracle_revenue - solver_revenue) <= slack
-
-
-class ProbeResult(NamedTuple):
-    utility: float
-    bandwidth: float
-
-
-def deviation_probe(peer: PeerProfile, price: float, steps: int) -> ProbeResult:
-    """Best utility over a uniform purchase grid on [0, capacity].
-
-    Certifies best_response from the raw objective: credit-weighted
-    satisfaction minus cost, evaluated at steps+1 grid points.
-    """
-    if price <= 0:
-        raise ValidationError(f"price must be > 0, got {price}")
-    if steps < 2:
-        raise ValidationError(f"steps must be >= 2, got {steps}")
-    import numpy as np
-
-    x = np.linspace(0.0, peer.capacity, steps + 1)
-    utility = peer.credits * np.log2(1.0 + x / peer.capacity) - price * x
-    idx = int(np.argmax(utility))
-    return ProbeResult(float(utility[idx]), float(x[idx]))

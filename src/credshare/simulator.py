@@ -119,25 +119,6 @@ def apply_transaction(ledger: Ledger, eq: Equilibrium, time: float) -> Ledger:
     return ledger
 
 
-def churn_check(old: Optional[Equilibrium], new: Optional[Equilibrium],
-                departed_contribution: Optional[float] = None,
-                tolerance: float = 1e-9) -> bool:
-    """Compare uploader revenue across a churn event.
-
-    With departed_contribution given (a leave), checks the revenue of the
-    new equilibrium is at least the old one minus the departed peer's
-    contribution; this holds for every instance of this game. Without it
-    (a join), reports whether revenue strictly increased, which need not
-    hold (a joining peer with a low enough priority ratio is simply
-    rejected and the equilibrium is sustained).
-    """
-    old_rev = old.revenue if old is not None else 0.0
-    new_rev = new.revenue if new is not None else 0.0
-    if departed_contribution is not None:
-        return new_rev >= old_rev - departed_contribution - tolerance
-    return new_rev > old_rev + tolerance
-
-
 @dataclass(frozen=True)
 class Epoch:
     start: float

@@ -1,4 +1,4 @@
-"""Exact clearing-price equilibria and their closed-form special cases.
+"""Exact clearing-price equilibria.
 
 The solution concept is the market-clearing Stackelberg point: the largest
 price at which aggregate demand equals the upload capacity. It allocates
@@ -41,15 +41,16 @@ Every sum is taken in the game's priority order
 (GameInstance.sorted_by_priority), so the price, the revenue and the
 region label do not depend on the order the peers are listed in.
 
-Closed forms for special structures (two peers, the all-interior balance
-region, a fully interleaved threshold order) are provided as independently
-testable entry points and must agree with solve() on their domains.
+The closed forms for special structures (two peers, the all-interior
+balance region, a fully interleaved threshold order) and the sampled
+no-deviation check are independent references that solve() must agree
+with on their domains; no command runs them, so they live with the tests,
+in tests/reference.py.
 """
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import ConvergenceError, ValidationError
 from .model import (
@@ -57,7 +58,6 @@ from .model import (
     Allocation,
     Equilibrium,
     GameInstance,
-    PeerProfile,
     RegionLabel,
     aggregate_demand,
     best_response,
@@ -72,11 +72,6 @@ __all__ = [
     "solve",
     "classify_region",
     "equilibrium_at",
-    "two_peer_price",
-    "balance_region_price",
-    "ordered_threshold_price",
-    "verify_se",
-    "VerificationReport",
 ]
 
 
@@ -234,187 +229,3 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG, *,
             f"solver residual {residual} exceeds tolerance at price {price}"
         )
     return equilibrium_at(game, price)
-
-
-def two_peer_price(p1: PeerProfile, p2: PeerProfile, uploader_capacity: float) -> float:
-    """Closed-form optimal price for exactly two peers, p1 of higher ratio.
-
-    The threshold order splits in two: when the low-ratio peer's cutoff sits
-    above the high-ratio peer's saturation threshold (h2 > h1/2) the demand
-    regions interleave and the price walks through lone-buyer, shared, and
-    capped-leader forms; otherwise the leader is served fully before the
-    follower sees any bandwidth.
-    """
-    u_k = float(uploader_capacity)
-    if u_k <= 0:
-        raise ValidationError(f"uploader capacity must be > 0, got {u_k}")
-    if not (p1.ratio > p2.ratio):
-        raise ValidationError("requires strictly ordered ratios: c1/d1 > c2/d2")
-    c1, d1 = p1.credits, p1.capacity
-    c2, d2 = p2.credits, p2.capacity
-    if u_k > d1 + d2:
-        raise ValidationError(
-            "capacity exceeds total demand; use solve() for the saturated case"
-        )
-    if p2.ratio > 0.5 * p1.ratio:
-        # interleaved thresholds
-        lone_top = c1 / p2.ratio - d1
-        shared_top = 2.0 * c2 / p1.ratio + d1 - d2
-        if u_k <= lone_top:
-            return c1 / ((u_k + d1) * LN2)
-        if u_k <= shared_top:
-            return (c1 + c2) / ((u_k + d1 + d2) * LN2)
-        return c2 / ((u_k - d1 + d2) * LN2)
-    # separated thresholds: follower enters only after the leader saturates
-    if u_k <= d1:
-        return c1 / ((u_k + d1) * LN2)
-    return c2 / ((u_k - d1 + d2) * LN2)
-
-
-def balance_region_price(game: GameInstance) -> Optional[float]:
-    """All-interior closed form, when every peer can sit between thresholds.
-
-    Applicable only when min ratio >= max ratio / 2 and the capacity lies in
-    the window that keeps every peer strictly price sensitive (strict lower
-    bound, inclusive upper bound); None otherwise. Sums run in priority order.
-    """
-    peers = game.sorted_by_priority()
-    if any(p.credits <= 0 for p in peers):
-        return None
-    ratios = [p.ratio for p in peers]
-    h_min, h_max = min(ratios), max(ratios)
-    if h_min < 0.5 * h_max:
-        return None
-    total_credits = sum(p.credits for p in peers)
-    total_capacity = sum(p.capacity for p in peers)
-    lower = total_credits / h_min - total_capacity
-    upper = 2.0 * total_credits / h_max - total_capacity
-    u_k = game.uploader_capacity
-    if not (lower < u_k <= upper):
-        return None
-    return total_credits / ((u_k + total_capacity) * LN2)
-
-
-def ordered_threshold_price(game: GameInstance) -> float:
-    """Region-table price for a fully interleaved strict threshold order.
-
-    Requires h_1 > ... > h_n > h_1 / 2 after sorting by ratio descending
-    (so every saturation threshold sits below every cutoff). Within that
-    order, capacity windows T_K (all of the top K interior, the rest priced
-    out) and R_K (peers above K saturated, the rest interior) tile
-    (0, total capacity] and each window has a closed-form price.
-    """
-    peers = sorted(game.peers, key=lambda p: -p.ratio)
-    n = len(peers)
-    if any(p.credits <= 0 for p in peers):
-        raise ValidationError("ordered-threshold form requires positive credits")
-    ratios = [p.ratio for p in peers]
-    for a, b in zip(ratios, ratios[1:]):
-        if not a > b:
-            raise ValidationError("threshold order hypothesis violated: ratios tie")
-    if not ratios[-1] > 0.5 * ratios[0]:
-        raise ValidationError(
-            "threshold order hypothesis violated: min ratio <= max ratio / 2"
-        )
-    u_k = game.uploader_capacity
-
-    credits = [p.credits for p in peers]
-    caps = [p.capacity for p in peers]
-    prefix_c = [0.0]
-    prefix_d = [0.0]
-    for c, d in zip(credits, caps):
-        prefix_c.append(prefix_c[-1] + c)
-        prefix_d.append(prefix_d[-1] + d)
-    suffix_c = [0.0] * (n + 2)
-    suffix_d = [0.0] * (n + 2)
-    for k in range(n, 0, -1):
-        suffix_c[k] = suffix_c[k + 1] + credits[k - 1]
-        suffix_d[k] = suffix_d[k + 1] + caps[k - 1]
-
-    def t_bound(k):
-        return prefix_c[k] / ratios[k - 1] - prefix_d[k]
-
-    def r_bound(k):
-        return 2.0 * suffix_c[k] / ratios[k - 1] + prefix_d[k - 1] - suffix_d[k]
-
-    def q_price(k):
-        return prefix_c[k] / ((u_k + prefix_d[k]) * LN2)
-
-    def p_price(k):
-        return suffix_c[k] / ((u_k - prefix_d[k - 1] + suffix_d[k]) * LN2)
-
-    for k in range(1, n):
-        if u_k <= t_bound(k + 1):
-            return q_price(k)
-    if u_k <= r_bound(1):
-        return q_price(n)
-    for k in range(2, n + 1):
-        if u_k <= r_bound(k):
-            return p_price(k)
-    raise ValidationError(
-        "capacity exceeds total demand; use solve() for the saturated case"
-    )
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    price_samples: int
-    feasible_price_samples: int
-    deviation_samples: int
-    max_revenue_gain: float
-    max_utility_gain: float
-    holds: bool
-
-
-def verify_se(game: GameInstance, eq: Equilibrium, samples: int,
-              seed: int = 0) -> Tuple[bool, VerificationReport]:
-    """Sampled no-deviation check of an equilibrium.
-
-    Leader side: at `samples` random feasible prices (demand within supply),
-    revenue with re-best-responded demand never beats the equilibrium
-    revenue beyond tolerance. Follower side: per peer, `samples` random
-    feasible purchases never beat the equilibrium utility beyond tolerance.
-    Vacuously true with samples = 0.
-    """
-    rng = random.Random(seed)
-    u_k = game.uploader_capacity
-    price_cap = 1.05 * game.market_top
-    if price_cap <= 0:
-        price_cap = 2.0 * eq.price
-    rev_tol = 1e-9 * (1.0 + abs(eq.revenue))
-
-    max_rev_gain = 0.0
-    feasible = 0
-    for _ in range(samples):
-        mu = rng.uniform(0.0, price_cap)
-        if mu <= 0.0:
-            continue
-        demand = aggregate_demand(game, mu)
-        if demand > u_k:
-            continue
-        feasible += 1
-        max_rev_gain = max(max_rev_gain, mu * demand - eq.revenue)
-
-    max_util_gain = 0.0
-    worst_util_excess = 0.0  # gain beyond the per-peer tolerance
-    deviations = 0
-    for peer in game.peers:
-        base = eq.utilities[peer.id]
-        util_tol = 1e-9 * (1.0 + abs(base))
-        for _ in range(samples):
-            x = rng.uniform(0.0, peer.capacity)
-            deviations += 1
-            gain = downloader_utility(peer, x, eq.price) - base
-            max_util_gain = max(max_util_gain, gain)
-            worst_util_excess = max(worst_util_excess, gain - util_tol)
-
-    holds = max_rev_gain <= rev_tol and worst_util_excess <= 0.0
-    report = VerificationReport(
-        price_samples=samples,
-        feasible_price_samples=feasible,
-        deviation_samples=deviations,
-        max_revenue_gain=max_rev_gain,
-        max_utility_gain=max_util_gain,
-        holds=holds,
-    )
-    return holds, report

@@ -24,20 +24,18 @@ from credshare import (
     LN2,
     PeerProfile,
     RegionLabel,
-    balance_region_price,
     best_response,
     grid_search_price,
     run_bargaining,
     run_direct,
     run_scenario,
     solve,
-    two_peer_price,
-    verify_se,
 )
 from credshare.experiments import example_game, example_scenario
 import credshare.simulator as simulator_module
 
 from conftest import random_oversubscribed
+from reference import balance_region_price, two_peer_price, verify_se
 
 MU_STAR_4 = 1000.0 / (7.0 * LN2)
 

@@ -12,6 +12,8 @@ from credshare.experiments import example_game, example_scenario
 from credshare.interchange import save_instance, save_scenario
 from credshare.model import LN2
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 @pytest.fixture
 def instance_file(tmp_path):
@@ -366,6 +368,20 @@ def test_example_writes_artifacts_to_directory(tmp_path, capsys):
     assert (out_dir / "example5_ledger.csv").exists()
 
 
+@pytest.mark.parametrize("argv, target", [
+    (("solve", str(GOLDEN / "example4_instance.json")), "missing/out.txt"),
+    (("simulate", str(GOLDEN / "churn30_scenario.json")), "missing/timeline.csv"),
+    (("example", "example4"), "a_file"),  # the directory to make is a file
+])
+def test_unwritable_output_exits_1(tmp_path, argv, target, capsys):
+    (tmp_path / "a_file").write_text("")
+    path = tmp_path / target
+    assert main([*argv, "--output", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"credshare: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_example_timelines_mirror_each_other(capsys):
     assert main(["example", "example4"]) == 0
     four = capsys.readouterr().out
@@ -481,6 +497,22 @@ def test_subnormal_clearing_price_exits_2(tmp_path):
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("credshare: solver residual")
     assert run.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--oracle"),
+    ("sweep", "--sweep", "capacity", "--range", "1e-300", "1e-299", "--steps", "1",
+     "--oracle"),
+])
+def test_oracle_window_overflow_exits_2(tmp_path, argv, capsys):
+    # nothing in the window is admissible, and widening it reaches inf
+    path = tmp_path / "doc.json"
+    path.write_text('{"uploader_capacity": 1e-300, "peers": [{"id": "a", "credits": '
+                    '7.110912344954049e+307, "capacity": 0.7120188127602907}]}')
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("credshare: no admissible price in [")
+    assert err.endswith("widening the window overflows the float range\n")
 
 
 def test_cli_without_oracle_leaves_numpy_unloaded(instance_file):

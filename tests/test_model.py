@@ -14,9 +14,9 @@ from credshare import (
     satisfaction,
 )
 from credshare.model import ACT, SAT, ZERO
-from credshare.oracle import deviation_probe
 
 from conftest import make_game, random_oversubscribed
+from reference import deviation_probe
 
 
 def test_peer_profile_validation():

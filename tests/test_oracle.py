@@ -10,7 +10,6 @@ from credshare import (
     PeerProfile,
     ValidationError,
     aggregate_demand,
-    deviation_probe,
     grid_search_price,
     solve,
 )
@@ -19,6 +18,7 @@ from credshare.oracle import demand_on_grid, revenue_agreement
 import numpy as np
 
 from conftest import make_game, random_oversubscribed
+from reference import deviation_probe
 
 
 def test_grid_spec_defaults(example4_game):
@@ -70,6 +70,18 @@ def test_grid_search_widens_window_upward_once(example4_game):
     # widened window still short of admissibility: give up
     with pytest.raises(OracleError):
         grid_search_price(example4_game, GridSpec(150.0, 160.0, 0.5))
+
+
+def test_grid_search_refuses_a_widened_window_past_the_float_range():
+    # 2 * price_max - price_min is inf; the window's own prices are finite
+    game = GameInstance(1e-300, [PeerProfile("a", 7.110912344954049e+307,
+                                             0.7120188127602907)])
+    spec = GridSpec.for_game(game)
+    with pytest.raises(OracleError) as caught:
+        grid_search_price(game, spec)
+    assert str(caught.value) == (
+        f"no admissible price in [{spec.price_min}, {spec.price_max}], "
+        "and widening the window overflows the float range")
 
 
 def _searched(game, spec, grids=None):

@@ -17,7 +17,6 @@ from credshare import (
     TimelineRecord,
     ValidationError,
     apply_transaction,
-    churn_check,
     ledger_csv,
     run_scenario,
     solve,
@@ -26,6 +25,7 @@ from credshare.experiments import example_scenario
 from credshare.simulator import validate_scenario
 
 from conftest import make_game
+from reference import churn_check
 from test_solver_scan import _bits
 
 # per-epoch expectations for the staggered-join scenario, from the

@@ -11,15 +11,13 @@ from credshare import (
     SolverConfig,
     ValidationError,
     aggregate_demand,
-    balance_region_price,
     best_response,
-    ordered_threshold_price,
     solve,
-    two_peer_price,
-    verify_se,
 )
 
 from conftest import make_game, random_interleaved, random_oversubscribed
+from reference import (balance_region_price, ordered_threshold_price,
+                       two_peer_price, verify_se)
 
 
 def test_example4_equilibrium(example4_game):
