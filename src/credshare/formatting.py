@@ -2,7 +2,9 @@
 
 All CLI and file output goes through format_sig so golden files are byte
 identical across runs and platforms: 6 significant digits, round half even
-(CPython's correctly rounded float formatting), LF newlines.
+(CPython's correctly rounded float formatting), LF newlines. A writer with
+many rows of one shape may build each row as a finished line, with
+format_sig on its numbers, and hand csv_text the lines.
 """
 
 SIG_DIGITS = 6
@@ -28,7 +30,13 @@ def csv_line(fields):
 
 
 def csv_text(header, rows):
-    """Join a header and row tuples into one LF-terminated CSV string."""
+    """Join a header and rows into one LF-terminated CSV string.
+
+    A row of type str is taken as a finished line; a row of fields is
+    joined by csv_line.
+    """
     lines = [csv_line(header)]
-    lines.extend(csv_line(row) for row in rows)
+    # an exact type test in a list comprehension, not isinstance in a
+    # generator, so that a row of fields costs no more than csv_line's call
+    lines += [row if type(row) is str else csv_line(row) for row in rows]
     return "\n".join(lines) + "\n"

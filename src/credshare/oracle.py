@@ -48,14 +48,23 @@ class GridSpec:
 
     @classmethod
     def for_game(cls, game: GameInstance) -> "GridSpec":
-        """Window from half the saturation floor up to the market top."""
+        """Window from half the saturation floor up to the market top.
+
+        Raises OracleError when the window is so narrow (subnormal
+        thresholds) that its step rounds to 0.
+        """
         if not game.credited():
             raise ValidationError("grid window undefined without credited peers")
         price_min = 0.5 * game.saturation_floor
         price_max = game.market_top
         if price_min <= 0:
             price_min = price_max * 1e-6
-        return cls(price_min, price_max, RESOLUTION_FRACTION * (price_max - price_min))
+        resolution = RESOLUTION_FRACTION * (price_max - price_min)
+        if resolution == 0.0:
+            raise OracleError(
+                f"the grid step over [{price_min}, {price_max}] rounds to 0"
+            )
+        return cls(price_min, price_max, resolution)
 
     def prices(self) -> "np.ndarray":
         import numpy as np

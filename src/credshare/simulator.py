@@ -8,15 +8,18 @@ out of its balance and credits the uploader, leaving the epoch untouched.
 Spending therefore lowers a peer's priority ratio at the next churn event,
 which is the mechanism's intended feedback. Consecutive games differ by one
 peer and the spent credits, so each re-solve starts its search for the
-bracketing segment at the previous epoch's price; the start never changes
-the result. Each present peer keeps its profile from one game to the next,
-and a re-solve rebuilds (and so validates again) only the profiles of the
-peers whose balance has moved since theirs was built: the payers of the
-settles in between, and a rejoining peer whose balance is no longer its
-endowment.
+bracketing segment at the previous epoch's price and gallops from there;
+the start never changes the result. Each present peer keeps its profile
+from one game to the next, and a re-solve rebuilds (and so validates
+again) only the profiles of the peers whose balance has moved since theirs
+was built: the payers of the settles in between, and a rejoining peer
+whose balance is no longer its endowment.
 
 The event loop is single threaded and deterministic: identical scenarios
-produce identical timelines and ledgers.
+produce identical timelines and ledgers. The timeline repeats every present
+peer in every epoch, so its CSV and the ledger's build each row as one
+finished line, formatting an epoch's times and price once, and hand the
+lines to formatting.csv_text.
 """
 
 from dataclasses import dataclass, field
@@ -142,22 +145,23 @@ class TimelineRecord:
 
         rows = []
         for ep in self.epochs:
-            start, end = format_sig(ep.start), format_sig(ep.end)
+            head = f"{format_sig(ep.start)},{format_sig(ep.end)},"
             eq = ep.equilibrium
-            agree = ()
+            tail = ""
             if oracle_check:
-                agree = ("",)
+                tail = ","
                 if eq is not None and ep.game is not None:
                     from .experiments import cross_check
 
-                    agree = ("yes" if cross_check(ep.game, eq.revenue)[2] else "no",)
+                    tail = ",yes" if cross_check(ep.game, eq.revenue)[2] else ",no"
             if eq is None:
-                rows.append((start, end, "", "", "", "", *agree))
+                rows.append(f"{head},,,{tail}")
                 continue
-            price = format_sig(eq.price)
-            for peer_id in sorted(ep.peer_ids):
-                rows.append((start, end, price, peer_id,
-                             eq.allocation[peer_id], eq.utilities[peer_id], *agree))
+            head += format_sig(eq.price) + ","
+            allocation, utilities = eq.allocation.amounts, eq.utilities
+            rows.extend(f"{head}{peer_id},{format_sig(allocation[peer_id])},"
+                        f"{format_sig(utilities[peer_id])}{tail}"
+                        for peer_id in sorted(ep.peer_ids))
         header = ["epoch_start", "epoch_end", "price", "peer_id",
                   "allocation", "utility"]
         if oracle_check:
@@ -166,12 +170,13 @@ class TimelineRecord:
 
 
 def ledger_csv(ledger: Ledger) -> str:
-    from .formatting import csv_text
+    from .formatting import csv_text, format_sig
 
-    rows = [("transaction", e.time, e.payer, e.payee, e.amount)
-            for e in ledger.log]
-    for account in sorted(ledger.balances):
-        rows.append(("balance", "", "", account, ledger.balances[account]))
+    rows = [f"transaction,{format_sig(e.time)},{e.payer},{e.payee},"
+            f"{format_sig(e.amount)}" for e in ledger.log]
+    balances = ledger.balances
+    rows.extend(f"balance,,,{account},{format_sig(balances[account])}"
+                for account in sorted(balances))
     return csv_text(("record", "time", "payer", "payee", "amount"), rows)
 
 

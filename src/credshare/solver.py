@@ -21,12 +21,16 @@ structure is an inspection utility, not part of the solve path. Where
 demand is flat at exactly the capacity (a plateau), the supremum price of
 the plateau is returned, since revenue mu * u_k rises with mu along it.
 
-The walk starts at the segment holding a hint price (solve's near=), else
-at the bracket the game's last solve found, else at the top, and goes up or
-down from there; float demand never rises with the price, so every start
-gives the same segment. A cold solve without a hint reads the
-breakpoints from the top down, while a churn re-solve hinted with the last
-price, or a re-solve of the same game, reads the few around its bracket.
+The search starts at the segment holding a hint price (solve's near=),
+else at the bracket the game's last solve found, else at the top. From a
+hint it gallops: steps of 1, 2, 4, ... segments up or down until it passes
+the bracket, then a bisection inside the last step, so a churn re-solve
+hinted with the last price reads about 2 log2(d) breakpoints when the
+bracket lies d segments away. From a recorded bracket or the top it walks
+one segment at a time, so a re-solve of the same game reads only around
+its bracket and a cold solve reads the breakpoints from the top down.
+Float demand never rises with the price, so every start and either search
+gives the same segment.
 
 The sorted breakpoints and the demand at each depend only on the peers, so
 they live on the game with the last bracket, each demand summed the first
@@ -146,6 +150,35 @@ def _demand_at(game: GameInstance, breakpoints, demand, i: int) -> float:
     return value
 
 
+def _gallop(stops, j: int, last: int) -> int:
+    """The highest index in [0, last] that stops, searched from j.
+
+    Steps of 1, 2, 4, ... indices go up while the index stops, or down
+    until it does; a bisection inside the last step then finds the index.
+    stops(0) holds and stops holds at no index above one that fails it.
+    """
+    step = 1
+    if stops(j):
+        lo = j
+        while lo + step <= last and stops(lo + step):
+            lo += step
+            step *= 2
+        hi = min(lo + step, last + 1)
+    else:
+        hi = j
+        while not stops(max(hi - step, 0)):
+            hi -= step
+            step *= 2
+        lo = max(hi - step, 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stops(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG, *,
           near: Optional[float] = None) -> Equilibrium:
     """Compute the clearing price and the equilibrium it induces.
@@ -157,9 +190,10 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG, *,
     allocation, and the insufficient label.
 
     near, a price, only says where to start looking for the bracketing
-    segment: at the segment that holds it. Without it the search starts at
-    the bracket the game's breakpoint table recorded at its last solve, or
-    at the top for a fresh table. The result never depends on the start.
+    segment: at the segment that holds it, galloping from there. Without
+    it the search walks a segment at a time from the bracket the game's
+    breakpoint table recorded at its last solve, or down from the top for
+    a fresh table. The result never depends on the start or the search.
 
     Raises ConvergenceError when the price misses the capacity by more than
     the residual tolerance, relative to max(1, u_k + the capacity of the
@@ -196,14 +230,20 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG, *,
         lo_val = lower(j)
         return lo_val > u_k or (lo_val == u_k and j < last and lower(j + 1) == u_k)
 
-    j = recorded[0] if near is None else min(bisect_left(breakpoints, near), last)
-    if stops(j):
-        while j < last and stops(j + 1):
-            j += 1
-    else:
-        j -= 1
-        while not stops(j):
+    if near is None:
+        # a step at a time from the recorded bracket, or down from the top:
+        # a faster search here would make capacity sweeps and cold solves
+        # finish sooner, which waits on ROADMAP items 1 and 10
+        j = recorded[0]
+        if stops(j):
+            while j < last and stops(j + 1):
+                j += 1
+        else:
             j -= 1
+            while not stops(j):
+                j -= 1
+    else:
+        j = _gallop(stops, min(bisect_left(breakpoints, near), last), last)
     recorded[0] = j
 
     # on a plateau, the supremum price of the flat stretch; on a flat

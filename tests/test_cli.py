@@ -515,6 +515,21 @@ def test_oracle_window_overflow_exits_2(tmp_path, argv, capsys):
     assert err.endswith("widening the window overflows the float range\n")
 
 
+def test_oracle_window_with_a_zero_step_exits_2(tmp_path, capsys):
+    # the game's thresholds are subnormal: solve prices it, but the grid
+    # step over the oracle's window rounds to 0
+    path = tmp_path / "doc.json"
+    path.write_text('{"uploader_capacity": 3.718988270294969e+47, "peers": [{"id": '
+                    '"p0", "credits": 5.0808749081930105e-148, "capacity": '
+                    '1.840270162021928e+175}]}')
+    assert main(["solve", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path), "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "credshare: the grid step over [1e-323, 4.4e-323] rounds to 0\n"
+
+
 def test_cli_without_oracle_leaves_numpy_unloaded(instance_file):
     run = _run_python("-c", (
         "import sys\n"

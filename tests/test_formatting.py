@@ -9,7 +9,7 @@ from credshare import BargainConfig, ConvergenceError, PeerProfile, run_bargaini
 from credshare.experiments import example_game, example_scenario
 from credshare.formatting import SIG_DIGITS, csv_text, format_sig
 from credshare.oracle import GridSpec, grid_search_price, revenue_agreement
-from credshare.simulator import EventKind, ScenarioEvent, run_scenario
+from credshare.simulator import EventKind, ScenarioEvent, ledger_csv, run_scenario
 
 
 def format_sig_reference(value, digits=SIG_DIGITS):
@@ -77,6 +77,24 @@ def test_format_sig_fixed_cases():
     assert format_sig(-0.0) == format_sig(numpy.float64(-0.0)) == "0"
 
 
+def test_csv_text_takes_a_str_row_as_a_finished_line():
+    rows = [(1, 2.5, None, -0.0, math.inf, -math.inf, math.nan, "x,y", ""),
+            "a,1.23456789,,nan,-0.0",
+            (numpy.float64(1234567.5), 1e-310, True, numpy.float64(-0.0)),
+            ""]
+    assert csv_text(("h", 0.1), rows) == (
+        "h,0.1\n"
+        "1,2.5,,0,inf,-inf,nan,x,y,\n"
+        "a,1.23456789,,nan,-0.0\n"
+        "1.23457e+06,1e-310,True,0\n"
+        "\n")
+    # a row of fields renders field by field, as format_sig_reference does
+    lines = csv_text(("h",), rows).split("\n")
+    for row, line in zip(rows, lines[1:]):
+        if not isinstance(row, str):
+            assert line == ",".join(map(format_sig_reference, row))
+
+
 def _plain_trace_csv(trace):
     """ProtocolTrace.to_csv as csv_text over unformatted rows."""
     rows = [(r.index, r.price, pid, x, r.total)
@@ -137,3 +155,35 @@ def test_timeline_csv_matches_plain_rows():
             assert timeline.to_csv(oracle_check=oracle_check) == \
                 _plain_timeline_csv(timeline, oracle_check)
     assert any(ep.equilibrium is None for ep in timeline.epochs)
+
+
+def _plain_ledger_csv(ledger):
+    """ledger_csv as csv_text over unformatted rows."""
+    rows = [("transaction", e.time, e.payer, e.payee, e.amount) for e in ledger.log]
+    rows.extend(("balance", "", "", account, ledger.balances[account])
+                for account in sorted(ledger.balances))
+    return csv_text(("record", "time", "payer", "payee", "amount"), rows)
+
+
+def test_ledger_csv_matches_plain_rows():
+    a, b = PeerProfile("a", 400.0, 2.0), PeerProfile("b", 300.0, 1.5)
+    events = [ScenarioEvent(0.0, EventKind.JOIN, peer=a),
+              ScenarioEvent(1.0, EventKind.JOIN, peer=b),
+              ScenarioEvent(1.5, EventKind.SETTLE),
+              ScenarioEvent(2.0, EventKind.LEAVE, peer_id="b"),
+              ScenarioEvent(3.0, EventKind.LEAVE, peer_id="a"),
+              ScenarioEvent(4.25, EventKind.JOIN, peer=a),
+              *(ScenarioEvent(5.0 + k, EventKind.SETTLE) for k in range(3)),
+              ScenarioEvent(8.0, EventKind.JOIN, peer=b),
+              ScenarioEvent(9.0, EventKind.SETTLE)]
+    timeline, ledger = run_scenario(2.0, events)
+    # the last leave emptied the roster, a rejoined having spent, and a's
+    # last payment took what was left of its balance
+    assert any(ep.equilibrium is None for ep in timeline.epochs)
+    assert ledger.exhausted == {"a"} and ledger.balance("a") == 0.0
+    assert [e.payer for e in ledger.log] == ["a", "b", "a", "a", "b"]
+    assert ledger_csv(ledger) == _plain_ledger_csv(ledger)
+    assert timeline.to_csv() == _plain_timeline_csv(timeline, False)
+    empty = type(ledger)()
+    assert ledger_csv(empty) == _plain_ledger_csv(empty) == \
+        "record,time,payer,payee,amount\nbalance,,,uploader,0\n"

@@ -84,6 +84,23 @@ def test_grid_search_refuses_a_widened_window_past_the_float_range():
         "and widening the window overflows the float range")
 
 
+def test_grid_spec_refuses_a_window_whose_step_rounds_to_0():
+    # the thresholds are subnormal, so a 1e-4 share of the window's width is 0
+    game = GameInstance(3.718988270294969e+47, [PeerProfile(
+        "p0", 5.0808749081930105e-148, 1.840270162021928e+175)])
+    price_min, price_max = 0.5 * game.saturation_floor, game.market_top
+    assert 0.0 < price_min < price_max and 1e-4 * (price_max - price_min) == 0.0
+    with pytest.raises(OracleError) as caught:
+        GridSpec.for_game(game)
+    assert str(caught.value) == \
+        f"the grid step over [{price_min}, {price_max}] rounds to 0"
+    with pytest.raises(OracleError):
+        grid_search_price(game)
+    # a spec built directly with a zero step is still a validation problem
+    with pytest.raises(ValidationError):
+        GridSpec(price_min, price_max, 0.0)
+
+
 def _searched(game, spec, grids=None):
     try:
         price, revenue = grid_search_price(game, spec, grids)

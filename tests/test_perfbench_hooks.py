@@ -54,3 +54,23 @@ def test_the_peer_hook_sees_the_profiles_a_settle_makes_the_simulator_rebuild(
     # one per payer rebuilt for the last epoch
     rosters = sum(len(ep.game.peers) for ep in timeline.epochs)
     assert tracer.count["model.peers"] - rosters == len(payers)
+
+
+def test_the_row_counter_sees_every_row_simulate_prints(monkeypatch):
+    # the timeline and the ledger hand csv_text finished lines; the tracer
+    # counts the rows it is handed, so they must be every data line printed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    scenario = Path(__file__).resolve().parent / "golden" / "churn30_scenario.json"
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, workloads)
+        code, text = workloads.run_cli(["simulate", str(scenario)])
+    finally:
+        tracer.restore()
+    assert code == 0
+    timeline, ledger = text.split("== ledger ==\n")
+    timeline_rows, ledger_rows = (part.count("\n") - 1 for part in (timeline, ledger))
+    assert timeline_rows > 100 and ledger_rows > 30
+    assert tracer.count["formatting.rows"] == timeline_rows + ledger_rows

@@ -276,6 +276,31 @@ def test_a_cold_solve_sums_demand_where_the_top_scan_did(n, games, summed):
         assert summed == _top_scan_prices(game) + [price]  # and the residual check
 
 
+def test_a_hinted_solve_gallops_to_the_bracket(summed):
+    """A bracket d breakpoints above or below the hint's segment costs at most
+    2 ceil(log2(d + 1)) + 2 breakpoint demand sums, then the residual check."""
+    rng = random.Random(59)
+    farthest = {"above": 0, "below": 0}
+    for _ in range(6):
+        peers = [PeerProfile(f"p{i}", rng.uniform(1.0, 500.0), rng.uniform(0.1, 5.0))
+                 for i in range(100)]
+        game = GameInstance(rng.uniform(0.2, 0.8) * sum(p.capacity for p in peers),
+                            peers)
+        cold = _bits(solve(game))
+        breakpoints, _, recorded = game._breakpoint_table()
+        bracket = recorded[0]
+        for start, hint in enumerate(breakpoints):
+            d = abs(bracket - start)
+            summed.clear()
+            eq = solve(_fresh(game), near=hint)
+            assert _bits(eq) == cold, hint
+            assert summed[-1] == eq.price  # the residual check
+            assert len(summed) - 1 <= 2 * math.ceil(math.log2(d + 1)) + 2, (d, summed)
+            side = "above" if bracket > start else "below"
+            farthest[side] = max(farthest[side], d)
+    assert min(farthest.values()) >= 64, farthest
+
+
 def _churn_scenario(rng, peak):
     """Joins up to `peak` peers, then `peak // 4` rounds of one or two
     settles followed by a join or a leave."""
@@ -318,10 +343,11 @@ def test_churn_re_solves_start_at_the_previous_price(summed):
         assert _bits(solve(_fresh(ep.game))) == _bits(ep.equilibrium)
     cold = len(summed)
     # one residual check per oversubscribed epoch; beyond those the searches
-    # sum 237 breakpoint demands here (5 514 from the top)
+    # sum 214 breakpoint demands here galloping from the hint (237 walking
+    # from it a segment at a time, 5 514 from the top)
     checks = sum(ep.equilibrium.region is not RegionLabel.SATURATED
                  for ep in timeline.epochs)
-    assert warm - checks <= 400 and cold > 10 * warm, (warm, checks, cold)
+    assert warm - checks <= 225 and cold > 10 * warm, (warm, checks, cold)
     # each epoch's table recorded its bracket: re-solving it from there sums
     # demand only for the residual check
     for ep in timeline.epochs:
