@@ -5,7 +5,7 @@ posted bandwidth price mu with a piecewise demand: full capacity below its
 saturation price c/(2 d ln2), the hyperbola c/(mu ln2) - d between that and
 its cutoff price c/(d ln2), and nothing above. Summing over a request set
 gives a continuous, nonincreasing aggregate demand curve whose breakpoints
-are the peers' two thresholds; the solver walks them to the one segment
+are the peers' two thresholds; the solver searches them for the segment
 that brackets the capacity and inverts it. DemandCurve materializes every
 segment, for inspection only.
 
@@ -13,8 +13,8 @@ A game owns one priority order of its peers (ratio descending, id
 ascending on ties) and the market window read off it, both computed once.
 Every demand total, demands_at's included, is summed in that order, so no
 total, price or region label depends on the order the peers are listed in.
-The solver's breakpoint table lives on the game too, with the bracket its
-last solve found as the next solve's start; at_capacity shares both.
+The game also holds one opaque slot for the solver's breakpoint table,
+which solver.py alone builds and reads; at_capacity copies share it.
 
 Threshold values are computed once per peer from the priority ratio
 h = c/d (cutoff = h/ln2, saturation = cutoff/2, exact halving) so equal
@@ -117,6 +117,7 @@ class GameInstance:
     saturation_floor: Optional[float] = field(init=False, repr=False, compare=False)
     _priority: tuple = field(init=False, repr=False, compare=False)
     _credited: tuple = field(init=False, repr=False, compare=False)
+    # solver.py's breakpoint table, shared by at_capacity copies
     _table_slot: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -183,32 +184,6 @@ class GameInstance:
     def credited(self):
         """The peers with credits, in priority order."""
         return self._credited
-
-    def _breakpoint_table(self):
-        """The credited peers' sorted distinct thresholds, the demand at
-        each (None until a solve sums it, except the lowest), and a
-        one-element list holding the bracket index of the last solve (the
-        top index until then), a start point for the next solve's search
-        that never changes its result. Published whole by one assignment;
-        every demand is a function of the peers, whichever caller fills it.
-
-        The lowest breakpoint is the lowest saturation price: there every
-        credited peer buys its full capacity and a free rider 0.0, so the
-        running sum of the credited capacities in priority order has the
-        bits aggregate_demand would sum there."""
-        table = self._table_slot[0]
-        if table is None:
-            breakpoints = sorted({t for p in self._credited
-                                  for t in (p.saturation_price, p.cutoff_price)})
-            demand = [None] * len(breakpoints)
-            if breakpoints:
-                credited_capacity = 0.0
-                for p in self._credited:
-                    credited_capacity += p.capacity
-                demand[0] = credited_capacity
-            table = self._table_slot[0] = (breakpoints, demand,
-                                           [len(breakpoints) - 1])
-        return table
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import Callable, List, Mapping, Optional, Tuple
 
 from .errors import ConvergenceError, ProtocolAbort, ValidationError
 from .model import (UPLOADER_ID, Equilibrium, GameInstance, _require_finite,
-                    demands_at)
+                    aggregate_demand, demands_at)
 # classify_region is not called here: perfbench/tracing.py wraps it as an attribute
 from .solver import classify_region, equilibrium_at, solve  # noqa: F401
 
@@ -213,9 +213,10 @@ def run_direct(game: GameInstance, seed: int = 0,
     )
 
     # stage 2: the uploader prices the requesting peers' game; the trace
-    # lists the demands in priority order
+    # lists the solved demands in priority order
     eq = solve(game)
-    demands, total = demands_at(game, eq.price)
+    demands = {p.id: eq.allocation[p.id] for p in game.sorted_by_priority()}
+    total = eq.total_allocation
 
     # stage 3: demand replies, each checked against the game's demand
     def reply(pid):
@@ -262,15 +263,15 @@ def _refusal(game: GameInstance, cfg: BargainConfig, mu0: float) -> Optional[str
     floor = mu0 - cfg.max_rounds * stride
     if not floor > game.saturation_floor:  # also when floor is nan
         return None
-    if demands_at(game, floor)[1] >= u_k:
+    if aggregate_demand(game, floor) >= u_k:
         return None
-    if abs(demands_at(game, mu0)[1] - u_k) < cfg.tolerance:
+    if abs(aggregate_demand(game, mu0) - u_k) < cfg.tolerance:
         return None  # round 1 is accepted
     # no round stops above a price whose round sum is below capacity, so the
     # walk needs at least as many rounds as reaching it takes
     lowest = solve(game).price + cfg.step
     if not (game.saturation_floor < lowest < floor
-            and demands_at(game, lowest)[1] < u_k):
+            and aggregate_demand(game, lowest) < u_k):
         lowest = floor
     needed = max(int((mu0 - lowest) / stride), cfg.max_rounds + 1)
     return (f"no convergence within max_rounds={cfg.max_rounds}: demand stays "

@@ -94,7 +94,10 @@ class Ledger:
         return self.balances[account]
 
     def total(self) -> float:
-        return sum(self.balances.values())
+        total = 0.0
+        for balance in self.balances.values():
+            total += balance
+        return total
 
     def transfer(self, time: float, payer: str, payee: str, amount: float):
         self.balances[payer] -= amount

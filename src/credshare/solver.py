@@ -9,7 +9,7 @@ priority ratios a saturation plateau above it can out-earn it while
 leaving capacity idle, which the brute-force oracle measures.)
 
 Demand is piecewise hyperbolic between threshold breakpoints and strictly
-decreasing wherever some peer is price sensitive, so the solver walks the
+decreasing wherever some peer is price sensitive, so the solver searches the
 sorted breakpoints, evaluating aggregate_demand at each it reaches, to the
 one segment that brackets the capacity, and inverts that segment in closed
 form:
@@ -21,25 +21,25 @@ structure is an inspection utility, not part of the solve path. Where
 demand is flat at exactly the capacity (a plateau), the supremum price of
 the plateau is returned, since revenue mu * u_k rises with mu along it.
 
-The search starts at the segment holding a hint price (solve's near=),
-else at the bracket the game's last solve found, else at the top. From a
-hint it gallops: steps of 1, 2, 4, ... segments up or down until it passes
-the bracket, then a bisection inside the last step, so a churn re-solve
-hinted with the last price reads about 2 log2(d) breakpoints when the
-bracket lies d segments away. From a recorded bracket or the top it walks
-one segment at a time, so a re-solve of the same game reads only around
-its bracket and a cold solve reads the breakpoints from the top down.
-Float demand never rises with the price, so every start and either search
-gives the same segment.
+The search starts at the segment holding a start price: a hint (solve's
+near=), else the price of the bracket the game's last solve found. From
+either it gallops: steps of 1, 2, 4, ... segments up or down until it
+passes the bracket, then a bisection inside the last step, so it reads
+about 2 log2(d) breakpoints when the bracket lies d segments away. A fresh
+table without a hint has no start price, and its search walks down from
+the top one segment at a time. Float demand never rises with the price,
+so every start and either search gives the same segment. The equilibrium
+at the answer is evaluated once, and its total allocation is the residual
+check's demand.
 
 The sorted breakpoints and the demand at each depend only on the peers, so
-they live on the game with the last bracket, each demand summed the first
-time a walk reads it, and GameInstance.at_capacity copies share them. The
-lowest breakpoint's demand, which decides saturation, is never summed: a
-fresh table holds it as the credited capacities' priority-order sum, the
-bits aggregate_demand gives there. A capacity sweep sorts its breakpoints
-once, sums each breakpoint's demand at most once, and starts each
-capacity's walk at the previous one's bracket.
+they live with the last bracket's price in the game's table slot, which
+GameInstance.at_capacity copies share; each demand is summed the first
+time a search reads it. The lowest breakpoint's demand, which decides
+saturation, is never summed: a fresh table holds it as the credited
+capacities' priority-order sum, the bits aggregate_demand gives there. A
+capacity sweep sorts its breakpoints once, sums each breakpoint's demand
+at most once, and gallops from the previous capacity's bracket.
 
 Every sum is taken in the game's priority order
 (GameInstance.sorted_by_priority), so the price, the revenue and the
@@ -142,12 +142,26 @@ def equilibrium_at(game: GameInstance, price: float) -> Equilibrium:
     )
 
 
-def _demand_at(game: GameInstance, breakpoints, demand, i: int) -> float:
-    """aggregate_demand at breakpoints[i], summed the first time it is read."""
-    value = demand[i]
-    if value is None:
-        value = demand[i] = aggregate_demand(game, breakpoints[i])
-    return value
+def _breakpoint_table(game: GameInstance):
+    """The game's table, built into its shared slot on first use: the
+    credited peers' sorted distinct thresholds, the demand at each (None
+    until a search sums it; the lowest holds the credited capacities'
+    priority-order sum), and a one-element list holding the price of the
+    last solve's bracket (None until then). Published whole by one
+    assignment; every demand is a function of the peers alone."""
+    table = game._table_slot[0]
+    if table is None:
+        credited = game.credited()
+        breakpoints = sorted({t for p in credited
+                              for t in (p.saturation_price, p.cutoff_price)})
+        demand = [None] * len(breakpoints)
+        if breakpoints:
+            credited_capacity = 0.0
+            for p in credited:
+                credited_capacity += p.capacity
+            demand[0] = credited_capacity
+        table = game._table_slot[0] = (breakpoints, demand, [None])
+    return table
 
 
 def _gallop(stops, j: int, last: int) -> int:
@@ -189,15 +203,15 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG, *,
     full capacity. Games with no credits at all get a unit price, an empty
     allocation, and the insufficient label.
 
-    near, a price, only says where to start looking for the bracketing
-    segment: at the segment that holds it, galloping from there. Without
-    it the search walks a segment at a time from the bracket the game's
-    breakpoint table recorded at its last solve, or down from the top for
-    a fresh table. The result never depends on the start or the search.
+    The search for the bracketing segment starts at the segment holding
+    near, a price, if given, else the last bracket the game's breakpoint
+    table recorded, and gallops from there. A fresh table without a hint
+    walks down from the top one segment at a time. The result never
+    depends on the start.
 
-    Raises ConvergenceError when the price misses the capacity by more than
-    the residual tolerance, relative to max(1, u_k + the capacity of the
-    bracketed segment's price-sensitive peers), as subnormal prices can.
+    Raises ConvergenceError when the equilibrium's total misses u_k by more
+    than the residual tolerance, relative to max(1, u_k + the capacity of
+    the bracketed segment's price-sensitive peers), as subnormal prices can.
     """
     u_k = game.uploader_capacity
     credited = game.credited()
@@ -208,7 +222,7 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG, *,
     # every credited peer buys its full capacity up to the lowest saturation
     # price, which is the lowest breakpoint; a fresh table holds the demand
     # there already, summed from the credited capacities
-    breakpoints, demand, recorded = game._breakpoint_table()
+    breakpoints, demand, recorded = _breakpoint_table(game)
     credited_capacity = demand[0]
     if credited_capacity <= u_k:
         return equilibrium_at(game, game.saturation_floor)
@@ -220,52 +234,53 @@ def solve(game: GameInstance, config: SolverConfig = DEFAULT_CONFIG, *,
     # ends demand exactly u_k (a plateau). Float demand never rises with
     # the price, so the segments that stop it are exactly those at or below
     # one index, and the answer is that highest stopping segment, wherever
-    # the walk to it starts.
+    # the search for it starts.
     last = len(breakpoints) - 1
 
     def lower(j):
-        return _demand_at(game, breakpoints, demand, j - 1) if j else credited_capacity
+        if j == 0:
+            return credited_capacity
+        value = demand[j - 1]
+        if value is None:
+            value = demand[j - 1] = aggregate_demand(game, breakpoints[j - 1])
+        return value
 
     def stops(j):
         lo_val = lower(j)
         return lo_val > u_k or (lo_val == u_k and j < last and lower(j + 1) == u_k)
 
-    if near is None:
-        # a step at a time from the recorded bracket, or down from the top:
-        # a faster search here would make capacity sweeps and cold solves
-        # finish sooner, which waits on ROADMAP items 1 and 10
-        j = recorded[0]
-        if stops(j):
-            while j < last and stops(j + 1):
-                j += 1
-        else:
+    start = recorded[0] if near is None else near
+    if start is None:
+        # down from the top a segment at a time: a faster cold search would
+        # make cold solves finish sooner, which waits on ROADMAP items 1 and 10
+        j = last
+        while not stops(j):
             j -= 1
-            while not stops(j):
-                j -= 1
     else:
-        j = _gallop(stops, min(bisect_left(breakpoints, near), last), last)
-    recorded[0] = j
+        j = _gallop(stops, min(bisect_left(breakpoints, start), last), last)
 
     # on a plateau, the supremum price of the flat stretch; on a flat
     # segment whose endpoint evaluations straddle u_k by rounding only, the
     # supremum price clears it too
-    price = top = breakpoints[j]
+    price = top = recorded[0] = breakpoints[j]
     active_capacity = 0.0  # a plateau or flat segment has no active peer
     if lower(j) > u_k:
-        active = [p for p in credited
-                  if p.saturation_price < top <= p.cutoff_price]
-        if active:
-            sat_capacity = sum(p.capacity for p in credited
-                               if p.saturation_price >= top)
-            active_credits = sum(p.credits for p in active)
-            active_capacity = sum(p.capacity for p in active)
+        sat_capacity = active_credits = 0.0
+        for p in credited:  # in priority order, as every total
+            if p.saturation_price >= top:
+                sat_capacity += p.capacity
+            elif p.cutoff_price >= top:
+                active_credits += p.credits
+                active_capacity += p.capacity
+        if active_capacity:
             price = active_credits / ((u_k - sat_capacity + active_capacity) * LN2)
 
-    # evaluating demand at price cancels c/(mu ln2) against d for each
+    # the allocation's total at price cancels c/(mu ln2) against d for each
     # active peer, so its rounding scales with u_k plus their capacity
-    residual = abs(aggregate_demand(game, price) - u_k)
+    eq = equilibrium_at(game, price)
+    residual = abs(eq.total_allocation - u_k)
     if residual > config.residual_tolerance * max(1.0, u_k + active_capacity):
         raise ConvergenceError(
             f"solver residual {residual} exceeds tolerance at price {price}"
         )
-    return equilibrium_at(game, price)
+    return eq

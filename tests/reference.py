@@ -79,8 +79,10 @@ def balance_region_price(game: GameInstance) -> Optional[float]:
     h_min, h_max = min(ratios), max(ratios)
     if h_min < 0.5 * h_max:
         return None
-    total_credits = sum(p.credits for p in peers)
-    total_capacity = sum(p.capacity for p in peers)
+    total_credits = total_capacity = 0.0
+    for p in peers:
+        total_credits += p.credits
+        total_capacity += p.capacity
     lower = total_credits / h_min - total_capacity
     upper = 2.0 * total_credits / h_max - total_capacity
     u_k = game.uploader_capacity

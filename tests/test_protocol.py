@@ -33,6 +33,30 @@ def test_direct_single_round_matches_solve(example4_game):
     assert replay(trace, example4_game)
 
 
+def test_a_direct_round_takes_its_demands_from_the_solved_equilibrium(monkeypatch):
+    # run_direct makes no second demand pass at the solved price: its round
+    # lists the equilibrium's allocation in priority order, with the bits and
+    # the total a fresh demands_at gives there
+    import credshare.protocol
+    from credshare.model import demands_at
+
+    rng = random.Random(14)
+    games = [random_oversubscribed(rng, 8) for _ in range(40)]
+    expected = [demands_at(game, solve(game).price) for game in games]
+
+    def second_pass(game, price):
+        raise AssertionError("run_direct summed demand again")
+
+    monkeypatch.setattr(credshare.protocol, "demands_at", second_pass)
+    for game, (demands, total) in zip(games, expected):
+        eq, trace = run_direct(game)
+        (round_,) = trace.rounds
+        assert list(round_.demands) == [p.id for p in game.sorted_by_priority()]
+        assert [x.hex() for x in round_.demands.values()] == \
+            [x.hex() for x in demands.values()]
+        assert round_.total.hex() == total.hex() == eq.total_allocation.hex()
+
+
 def test_direct_is_delivery_order_insensitive(example4_game):
     equilibria = {run_direct(example4_game, seed=s)[0].price for s in range(5)}
     assert len(equilibria) == 1
@@ -78,8 +102,7 @@ def test_direct_aborts_on_misreport(example4_game):
 
 def test_replay_of_a_direct_trace_reuses_the_solved_table(monkeypatch):
     # run_direct solves the game it is given, so replay's solve of that game
-    # reads the breakpoint demands already summed: only its residual check
-    # calls aggregate_demand
+    # reads the breakpoint demands already summed and sums none
     import credshare.solver
 
     rng = random.Random(12)
@@ -95,7 +118,7 @@ def test_replay_of_a_direct_trace_reuses_the_solved_table(monkeypatch):
 
     monkeypatch.setattr(credshare.solver, "aggregate_demand", counting)
     assert replay(trace, game)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_direct_aborts_without_demand():

@@ -1,15 +1,17 @@
 """Where solve() starts its search for the bracketing segment.
 
-The start is a hint price (near=), else the bracket the game's breakpoint
-table recorded at its last solve, else the top. The search walks from it to
-the highest segment whose lower end demands more than u_k or which lies on
-a plateau at u_k. That segment is unique because float demand never rises
-with the price, so no start can change the result; these tests check both
-claims, and count the demand sums the start saves.
+The start is a hint price (near=), else the price of the bracket the game's
+breakpoint table recorded at its last solve; from either the search
+gallops. A fresh table without a hint is walked down from the top. Every
+search ends at the highest segment whose lower end demands more than u_k
+or which lies on a plateau at u_k. That segment is unique because float
+demand never rises with the price, so no start can change the result;
+these tests check both claims, and count the demand sums the start saves.
 """
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -235,7 +237,7 @@ def _assert_table_holds_the_lowest_demand(game):
     with a sum of every peer's demand there; the solve's region, or the
     error it raised."""
     outcome = _outcome(game)
-    breakpoints, demand, _ = game._breakpoint_table()
+    breakpoints, demand, _ = credshare.solver._breakpoint_table(game)
     assert demand[0].hex() == aggregate_demand(game, breakpoints[0]).hex(), game
     return outcome if isinstance(outcome, str) else outcome[2]
 
@@ -273,12 +275,23 @@ def test_a_cold_solve_sums_demand_where_the_top_scan_did(n, games, summed):
                             peers)
         summed.clear()
         price = solve(game).price
-        assert summed == _top_scan_prices(game) + [price]  # and the residual check
+        assert summed == _top_scan_prices(game), price
+
+
+def _gallop_bound(d):
+    """The demand sums a gallop may take to a bracket d breakpoints away."""
+    return 2 * math.ceil(math.log2(d + 1)) + 2
+
+
+def _bracket(game):
+    """The index of the bracket the game's table recorded at its last solve."""
+    breakpoints, _, recorded = credshare.solver._breakpoint_table(game)
+    return bisect_left(breakpoints, recorded[0])
 
 
 def test_a_hinted_solve_gallops_to_the_bracket(summed):
     """A bracket d breakpoints above or below the hint's segment costs at most
-    2 ceil(log2(d + 1)) + 2 breakpoint demand sums, then the residual check."""
+    2 ceil(log2(d + 1)) + 2 breakpoint demand sums, and no other sum."""
     rng = random.Random(59)
     farthest = {"above": 0, "below": 0}
     for _ in range(6):
@@ -287,18 +300,41 @@ def test_a_hinted_solve_gallops_to_the_bracket(summed):
         game = GameInstance(rng.uniform(0.2, 0.8) * sum(p.capacity for p in peers),
                             peers)
         cold = _bits(solve(game))
-        breakpoints, _, recorded = game._breakpoint_table()
-        bracket = recorded[0]
-        for start, hint in enumerate(breakpoints):
+        bracket = _bracket(game)
+        for start, hint in enumerate(credshare.solver._breakpoint_table(game)[0]):
             d = abs(bracket - start)
             summed.clear()
-            eq = solve(_fresh(game), near=hint)
-            assert _bits(eq) == cold, hint
-            assert summed[-1] == eq.price  # the residual check
-            assert len(summed) - 1 <= 2 * math.ceil(math.log2(d + 1)) + 2, (d, summed)
+            assert _bits(solve(_fresh(game), near=hint)) == cold, hint
+            assert len(summed) <= _gallop_bound(d), (d, summed)
             side = "above" if bracket > start else "below"
             farthest[side] = max(farthest[side], d)
     assert min(farthest.values()) >= 64, farthest
+
+
+def test_a_recorded_start_gallops_to_the_bracket(summed):
+    """Copies of one 100-peer game share its table. The first solve, at the
+    lowest capacity, walks down from the top only to a bracket near it; each
+    later one, at shuffled capacities, starts from the bracket the one before
+    it recorded and sums at most 2 ceil(log2(d + 1)) + 2 new demands for a
+    bracket d breakpoints away."""
+    rng = random.Random(61)
+    peers = [PeerProfile(f"p{i}", rng.uniform(1.0, 500.0), rng.uniform(0.1, 5.0))
+             for i in range(100)]
+    shared = GameInstance(1.0, peers)
+    lowest, *capacities = [k / 60 * shared.total_capacity for k in range(1, 60)]
+    rng.shuffle(capacities)
+    solve(shared.at_capacity(lowest))
+    farthest = 0
+    for u_k in capacities:
+        game = shared.at_capacity(u_k)
+        previous = _bracket(game)
+        summed.clear()
+        eq = solve(game)
+        d = abs(_bracket(game) - previous)
+        assert len(summed) <= _gallop_bound(d), (d, summed)
+        assert _bits(eq) == _bits(solve(GameInstance(u_k, peers))), u_k
+        farthest = max(farthest, d)
+    assert farthest >= 64, farthest
 
 
 def _churn_scenario(rng, peak):
@@ -342,17 +378,12 @@ def test_churn_re_solves_start_at_the_previous_price(summed):
     for ep in timeline.epochs:
         assert _bits(solve(_fresh(ep.game))) == _bits(ep.equilibrium)
     cold = len(summed)
-    # one residual check per oversubscribed epoch; beyond those the searches
-    # sum 214 breakpoint demands here galloping from the hint (237 walking
-    # from it a segment at a time, 5 514 from the top)
-    checks = sum(ep.equilibrium.region is not RegionLabel.SATURATED
-                 for ep in timeline.epochs)
-    assert warm - checks <= 225 and cold > 10 * warm, (warm, checks, cold)
-    # each epoch's table recorded its bracket: re-solving it from there sums
-    # demand only for the residual check
+    # the searches sum 214 breakpoint demands here galloping from the hint
+    # (237 walking from it a segment at a time, 5 514 from the top)
+    assert warm <= 225 and cold > 10 * warm, (warm, cold)
+    # each epoch's table recorded its bracket: re-solving it from there
+    # reads only the demands its first search summed
     for ep in timeline.epochs:
         summed.clear()
-        eq = solve(ep.game)
-        assert _bits(eq) == _bits(ep.equilibrium)
-        saturated = eq.region is RegionLabel.SATURATED
-        assert summed == ([] if saturated else [eq.price]), ep.start
+        assert _bits(solve(ep.game)) == _bits(ep.equilibrium)
+        assert summed == [], ep.start
