@@ -101,7 +101,7 @@ def cmd_bargain(args) -> int:
         max_refinements=args.max_refinements,
     )
     try:
-        _, trace = run_bargaining(game, cfg, seed=args.seed)
+        _, trace = run_bargaining(game, cfg)
     except ConvergenceError as exc:
         if exc.trace is not None:
             _write(exc.trace.to_csv(), args.output)
@@ -193,8 +193,8 @@ def build_parser() -> _Parser:
     p_bargain.add_argument("--max-rounds", type=int, default=100_000)
     p_bargain.add_argument("--max-refinements", type=int, default=6)
     p_bargain.add_argument("--seed", type=int, default=0,
-                           help="delivery-order seed of logged messages; "
-                                "the printed trace does not depend on it")
+                           help="ignored: the walk is deterministic (accepted "
+                                "so that existing command lines still run)")
     common(p_bargain)
     p_bargain.set_defaults(func=cmd_bargain)
 

@@ -1,13 +1,12 @@
 """Message-passing realizations of the pricing game.
 
-Two schemes, both between the uploader and n downloaders exchanging
-messages in one seeded session:
+Two schemes between the uploader and n downloaders:
 
-* direct: one round. Each downloader requests with its (credits,
-  capacity); the uploader prices the game whose peers sent those requests
-  with solve(), broadcasts the price, checks each demand reply against
-  that game's demand at the price, grants the demands, and streams. Its
-  equilibrium is solve() of the game.
+* direct: one round of messages. Each downloader requests with its
+  (credits, capacity); the uploader prices the game whose peers sent those
+  requests with solve(), broadcasts the price, checks each demand reply
+  against that game's demand at the price, grants the demands, and
+  streams. Its equilibrium is solve() of the game.
 * bargaining: the uploader starts above every cutoff price and walks the
   price down a fixed step per round until total demand meets its capacity,
   accepting the first crossing inside the tolerance band. A crossing that
@@ -18,18 +17,16 @@ messages in one seeded session:
 
 Both runs emit an auditable trace: every broadcast price with the per-peer
 demands it drew, refinement events, and the terminal equilibrium. Each
-round's demands are listed and totalled in the game's priority order. The
-session numbers each sender's messages and delivers every batch in an
-order shuffled by a seed, which must not affect the outcome; the uploader
-proceeds only after a full round of replies. The direct scheme always logs
-its messages. Bargaining computes each round's demands directly from the
-best responses and builds its PRICE, DEMAND and STREAM_START messages (and
-shuffles them) only when log_messages is on.
+round's demands are listed and totalled in the game's priority order. Both
+runs are deterministic. The direct scheme also logs its messages, each
+sender numbering its own, every batch in send order (the game's listing
+order); its REQUEST stage and a misreported reply appear nowhere else. A
+bargaining trace logs no messages: its rounds hold every price posted and
+every demand drawn.
 """
 
 import math
 import numbers
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Mapping, Optional, Tuple
@@ -78,7 +75,6 @@ class BargainConfig:
     tolerance: float = 0.001
     max_rounds: int = 100_000
     max_refinements: int = 6
-    log_messages: bool = False
 
     def __post_init__(self):
         _require_finite("step", self.step)
@@ -145,51 +141,32 @@ class ProtocolTrace:
 
 
 class _Session:
-    """The messages between the uploader and a game's downloaders.
-
-    Each sender numbers its own messages from 1. Every batch is shuffled by
-    the seeded delivery order and appended to the log as delivered.
+    """The direct scheme's message log between the uploader and a game's
+    downloaders. Each sender numbers its own messages from 1; the log holds
+    them in send order, every batch in the game's listing order.
     """
 
-    def __init__(self, game: GameInstance, seed: int, log: List[Message]):
-        self._rng = random.Random(seed)
+    def __init__(self, game: GameInstance, log: List[Message]):
         self._log = log
         self._ids = [p.id for p in game.peers]
         self._seq = dict.fromkeys([UPLOADER_ID, *self._ids], 0)
 
     def send(self, kind, sender, receiver, **payload) -> Message:
         self._seq[sender] += 1
-        return Message(kind=kind, sender=sender, receiver=receiver,
-                       seq=self._seq[sender], **payload)
+        message = Message(kind=kind, sender=sender, receiver=receiver,
+                          seq=self._seq[sender], **payload)
+        self._log.append(message)
+        return message
 
-    def deliver(self, batch) -> List[Message]:
-        batch = list(batch)
-        self._rng.shuffle(batch)
-        self._log.extend(batch)
-        return batch
-
-    def broadcast(self, kind, bandwidths=None, **payload) -> List[Message]:
+    def broadcast(self, kind, bandwidths=None, **payload):
         """One message from the uploader to each downloader; `bandwidths`,
         keyed by peer id, gives each its own bandwidth field."""
-        return self.deliver(
+        for pid in self._ids:
             self.send(kind, UPLOADER_ID, pid, **payload,
                       bandwidth=None if bandwidths is None else bandwidths[pid])
-            for pid in self._ids
-        )
-
-    def round(self, price: float, round_index: int, reply: Callable[[str], float]):
-        """A PRICE to every downloader, then its DEMAND of reply(peer id),
-        in delivery order; returns the delivered replies."""
-        return self.deliver(
-            self.send(MessageKind.DEMAND, m.receiver, UPLOADER_ID,
-                      bandwidth=reply(m.receiver), price=price,
-                      round_index=round_index)
-            for m in self.broadcast(MessageKind.PRICE, price=price,
-                                    round_index=round_index)
-        )
 
 
-def run_direct(game: GameInstance, seed: int = 0,
+def run_direct(game: GameInstance,
                misreport: Optional[Mapping[str, Callable[[float], float]]] = None,
                ) -> Tuple[Equilibrium, ProtocolTrace]:
     """One-round scheme: collect requests, price the game, broadcast, grant.
@@ -199,18 +176,17 @@ def run_direct(game: GameInstance, seed: int = 0,
     Downloaders reply honestly unless `misreport` maps their id to a hook
     that corrupts the demand they send. Raises ProtocolAbort when a demand
     reply differs from the game's demand for its sender (misreporting
-    downloader), or when the equilibrium price draws no demand at all.
+    downloader; with several, the first in the game's listing order), or
+    when the equilibrium price draws no demand at all.
     """
     trace = ProtocolTrace(protocol="direct")
-    session = _Session(game, seed, trace.messages)
+    session = _Session(game, trace.messages)
     misreport = misreport or {}
 
     # stage 1: each downloader requests with its (credits, capacity)
-    session.deliver(
+    for p in game.peers:
         session.send(MessageKind.REQUEST, p.id, UPLOADER_ID,
                      credits=p.credits, capacity=p.capacity)
-        for p in game.peers
-    )
 
     # stage 2: the uploader prices the requesting peers' game; the trace
     # lists the solved demands in priority order
@@ -218,12 +194,17 @@ def run_direct(game: GameInstance, seed: int = 0,
     demands = {p.id: eq.allocation[p.id] for p in game.sorted_by_priority()}
     total = eq.total_allocation
 
-    # stage 3: demand replies, each checked against the game's demand
+    # stage 3: the price to every downloader, then every demand reply; the
+    # uploader checks each against the game's demand
     def reply(pid):
         hook = misreport.get(pid)
         return demands[pid] if hook is None else hook(demands[pid])
 
-    for m in session.round(eq.price, 1, reply):
+    session.broadcast(MessageKind.PRICE, price=eq.price, round_index=1)
+    replies = [session.send(MessageKind.DEMAND, p.id, UPLOADER_ID, price=eq.price,
+                            round_index=1, bandwidth=reply(p.id))
+               for p in game.peers]
+    for m in replies:
         expected = demands[m.sender]
         if m.bandwidth != expected:
             diag = (f"demand reply from {m.sender} is {m.bandwidth!r}, "
@@ -260,7 +241,10 @@ def _refusal(game: GameInstance, cfg: BargainConfig, mu0: float) -> Optional[str
     # a round lowers the price by at most step plus half an ulp of mu0; the
     # spare ulps cover the rounding of floor itself
     stride = cfg.step + 2.0 * math.ulp(mu0)
-    floor = mu0 - cfg.max_rounds * stride
+    try:
+        floor = mu0 - cfg.max_rounds * stride
+    except OverflowError:  # a walk that may run past the float range
+        return None
     if not floor > game.saturation_floor:  # also when floor is nan
         return None
     if aggregate_demand(game, floor) >= u_k:
@@ -269,7 +253,10 @@ def _refusal(game: GameInstance, cfg: BargainConfig, mu0: float) -> Optional[str
         return None  # round 1 is accepted
     # no round stops above a price whose round sum is below capacity, so the
     # walk needs at least as many rounds as reaching it takes
-    lowest = solve(game).price + cfg.step
+    try:
+        lowest = solve(game).price + cfg.step
+    except ConvergenceError:  # an unpriceable game; floor still bounds the walk
+        lowest = floor
     if not (game.saturation_floor < lowest < floor
             and aggregate_demand(game, lowest) < u_k):
         lowest = floor
@@ -293,6 +280,10 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     the very first round (capacity already within tolerance of zero demand).
     A session that provably cannot end within max_rounds raises
     ConvergenceError before its first round, with a trace of no rounds.
+
+    The walk is deterministic; `seed` is ignored. It stays only so that
+    existing callers still run, until ROADMAP item 1 drops it with the
+    CLI's --seed.
     """
     cfg = config or BargainConfig()
     if not game.credited():
@@ -309,9 +300,6 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     if diag is not None:
         trace.diagnostics.append(diag)
         raise ConvergenceError(diag, trace)
-    # each logged reply carries the demand the walk already computed for its
-    # sender, so logging changes nothing but trace.messages
-    log = _Session(game, seed, trace.messages) if cfg.log_messages else None
 
     price = mu0
     step = cfg.step
@@ -320,8 +308,6 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
 
     for round_index in range(1, cfg.max_rounds + 1):
         demands, total = demands_at(game, price)
-        if log is not None:
-            log.round(price, round_index, demands.__getitem__)
 
         in_band = abs(total - u_k) < cfg.tolerance
         crossed = total >= u_k
@@ -331,8 +317,6 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
             trace.rounds.append(TraceRound(round_index, price, demands, total, True))
             eq = equilibrium_at(game, price)
             trace.equilibrium = eq
-            if log is not None:
-                log.broadcast(MessageKind.STREAM_START)
             return eq, trace
 
         if crossed:
@@ -392,9 +376,14 @@ def replay(trace: ProtocolTrace, game: GameInstance) -> bool:
 
     Demands must equal the best response bit for bit; prices must follow
     the protocol rule (the solved price for direct, stepping with recorded
-    refinements for bargaining).
+    refinements for bargaining). A trace with an equilibrium must end in an
+    accepted round (for bargaining, one within the tolerance band), and the
+    equilibrium must be the one that round's price induces. A malformed
+    trace replays False rather than raising.
     """
     def demands_match(r):
+        if not r.price > 0:  # no demand is defined there
+            return False
         demands, total = demands_at(game, r.price)
         return r.demands == demands and r.total == total
 
@@ -402,35 +391,37 @@ def replay(trace: ProtocolTrace, game: GameInstance) -> bool:
         if len(trace.rounds) != 1:
             return False
         r = trace.rounds[0]
-        if not r.accepted or not demands_match(r):
+        if not r.accepted or not demands_match(r) or r.price != solve(game).price:
             return False
-        return r.price == solve(game).price
-
-    if trace.protocol != "bargaining" or trace.config is None:
+        band = math.inf
+    elif trace.protocol == "bargaining" and trace.config is not None:
+        cfg = trace.config
+        expected = cfg.initial_price if cfg.initial_price is not None else game.market_top
+        step = cfg.step
+        refinements = {ev.round_index: ev for ev in trace.refinements}
+        prev_price = None
+        for r in trace.rounds:
+            if r.price != expected or not demands_match(r):
+                return False
+            if not r.accepted:
+                ev = refinements.get(r.index)
+                if ev is None or ev.old_step != step or ev.price != r.price:
+                    return False
+                step = ev.new_step
+                if prev_price is None:
+                    return False
+                expected = prev_price - step
+            else:
+                prev_price = r.price
+                expected = r.price - step
+        band = cfg.tolerance
+    else:
         return False
-    cfg = trace.config
-    expected = cfg.initial_price if cfg.initial_price is not None else game.market_top
-    step = cfg.step
-    refinements = {ev.round_index: ev for ev in trace.refinements}
-    prev_price = None
-    for r in trace.rounds:
-        if r.price != expected or not demands_match(r):
-            return False
-        if not r.accepted:
-            ev = refinements.get(r.index)
-            if ev is None or ev.old_step != step or ev.price != r.price:
-                return False
-            step = ev.new_step
-            if prev_price is None:
-                return False
-            expected = prev_price - step
-        else:
-            prev_price = r.price
-            expected = r.price - step
-    if trace.equilibrium is not None:
-        last = trace.rounds[-1]
-        if not last.accepted or trace.equilibrium.price != last.price:
-            return False
-        if abs(last.total - game.uploader_capacity) >= cfg.tolerance:
-            return False
-    return True
+
+    if trace.equilibrium is None:
+        return True
+    if not trace.rounds:
+        return False
+    last = trace.rounds[-1]
+    return (last.accepted and abs(last.total - game.uploader_capacity) < band
+            and trace.equilibrium == equilibrium_at(game, last.price))

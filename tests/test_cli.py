@@ -224,6 +224,19 @@ def test_bargain_convergence_failure_exits_2(instance_file, capsys):
     assert "needs at least" in captured.err
 
 
+def test_bargain_max_rounds_past_the_float_range_runs(instance_file, capsys):
+    # a walk that may run past the float range cannot be refused, so the
+    # session runs to its end as with the default limit: round 8245
+    huge = "1" + "0" * 400
+    assert main(["bargain", instance_file, "--max-rounds", huge]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert main(["bargain", instance_file]) == 0
+    assert capsys.readouterr().out == captured.out
+    _, rows = _rows(captured.out)
+    assert rows[-2][0] == "8245"
+
+
 @pytest.fixture
 def tiny_capacity_file(tmp_path):
     # one peer whose demand at its cutoff rounds to 4.44e-16, above supply

@@ -1,6 +1,6 @@
 """Guards over every module of the package: none keeps state between
-calls, none imports a name it never uses, and none totals floats with the
-builtin sum.
+calls, none imports a name it never uses, none totals floats with the
+builtin sum, and none draws random numbers.
 
 A memo behind a `global` statement makes a call's cost (and, if the memo is
 ever wrong, its result) depend on which calls ran before it. State that
@@ -78,4 +78,24 @@ def test_no_module_calls_the_builtin_sum():
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                      and node.func.id == "sum")
+    assert found == []
+
+
+def test_no_module_imports_random():
+    # every result is a function of its inputs: the protocols deliver
+    # messages in send order, and nothing else draws
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 10
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno}" for name in names
+                         if name.split(".")[0] == "random")
     assert found == []

@@ -1,13 +1,16 @@
-"""The benchmark harness's tracer still finds every attribute it wraps.
+"""The benchmark harness still runs against the program: its tracer finds
+every attribute it wraps, and its gate checks accept what its ops produce.
 
 perfbench/tracing.py replaces named module and class attributes of the
-program in memory when a run is traced. A source change that drops or
-renames one of them would only show up as a crash of a traced benchmark
-run; here it fails the test suite instead. The harness is imported, never
-modified.
+program in memory when a run is traced, and perfbench/workloads.py calls
+the program's functions and CLI with fixed names and keywords. A source
+change that drops or renames one of them would only show up as a crashed
+or incorrect benchmark run; here it fails the test suite instead. The
+harness is imported, never modified.
 """
 
 import importlib
+import random
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -74,3 +77,20 @@ def test_the_row_counter_sees_every_row_simulate_prints(monkeypatch):
     timeline_rows, ledger_rows = (part.count("\n") - 1 for part in (timeline, ledger))
     assert timeline_rows > 100 and ledger_rows > 30
     assert tracer.count["formatting.rows"] == timeline_rows + ledger_rows
+
+
+def test_every_gate_check_accepts_one_cycle(monkeypatch, tmp_path):
+    # each workload's first cycle, run and checked as a benchmark run gates
+    # it, so a change the checks reject fails here rather than in a run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name, make_cycle in workloads.CYCLES.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        ops = make_cycle(random.Random(5), workdir, 0)
+        assert ops, name
+        for op in ops:
+            raw = op.encode(op.run())
+            problems, label = workloads.CHECKS[op.check](op.payload, raw)
+            assert problems == [], (name, op.kind)
+            assert label == ("refused" if op.kind == "over" else None), (name, op.kind)
