@@ -3,11 +3,17 @@
 All CLI and file output goes through format_sig so golden files are byte
 identical across runs and platforms: 6 significant digits, round half even
 (CPython's correctly rounded float formatting), LF newlines. A writer with
-many rows of one shape may build each row as a finished line, with
-format_sig on its numbers, and hand csv_text the lines.
+many rows of one shape may build each row as a finished line and hand
+csv_text the lines: one %-operation on a row pattern whose number fields
+are NUMBER, each applied to `x or 0.0`, renders every float as format_sig
+does.
 """
 
 SIG_DIGITS = 6
+
+# the %-conversion of one float field: NUMBER % (x or 0.0) == format_sig(x)
+# for every float x, since `or` turns -0.0 into 0.0 and "%g" renders the rest
+NUMBER = "%%.%dg" % SIG_DIGITS
 
 
 def format_sig(value, digits=SIG_DIGITS):

@@ -267,6 +267,11 @@ def _refusal(game: GameInstance, cfg: BargainConfig, mu0: float) -> Optional[str
             f"refused before the first round")
 
 
+def _stalled(round_index: int, price: float, step: float) -> str:
+    return (f"round {round_index}: step {step} leaves the price {price} "
+            f"unchanged; the walk cannot move")
+
+
 def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
                    seed: int = 0) -> Tuple[Equilibrium, ProtocolTrace]:
     """Iterative scheme: walk the price down until demand meets capacity.
@@ -279,7 +284,9 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     it can no longer rise (every credited peer already at capacity) or on
     the very first round (capacity already within tolerance of zero demand).
     A session that provably cannot end within max_rounds raises
-    ConvergenceError before its first round, with a trace of no rounds.
+    ConvergenceError before its first round, with a trace of no rounds, and
+    a step too small to move the price raises it as soon as it leaves the
+    price unchanged, rather than repeating the round until max_rounds.
 
     The walk is deterministic; `seed` is ignored. It stays only so that
     existing callers still run, until ROADMAP item 1 drops it with the
@@ -346,6 +353,10 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
                 f"{old_step} -> {step}"
             )
             price = prev_price - step
+            if price == prev_price:
+                diag = _stalled(round_index, price, step)
+                trace.diagnostics.append(diag)
+                raise ConvergenceError(diag, trace)
             if price <= 0:
                 diag = "refined price walked to zero before demand met capacity"
                 trace.diagnostics.append(diag)
@@ -361,6 +372,10 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
         trace.rounds.append(TraceRound(round_index, price, demands, total, True))
         prev_price = price
         price = price - step
+        if price == prev_price:
+            diag = _stalled(round_index, price, step)
+            trace.diagnostics.append(diag)
+            raise ConvergenceError(diag, trace)
         if price <= 0:
             diag = "price walked to zero before demand met capacity"
             trace.diagnostics.append(diag)

@@ -13,20 +13,25 @@ the start never changes the result. Each present peer keeps its profile
 from one game to the next, and a re-solve rebuilds (and so validates
 again) only the profiles of the peers whose balance has moved since theirs
 was built: the payers of the settles in between, and a rejoining peer
-whose balance is no longer its endowment.
+whose balance is no longer its endowment. Only those peers are checked, so
+a re-solve scans the ledger entries logged since the last one, not every
+present peer's balance. A settle writes the balances and the log directly;
+a LedgerEntry is a NamedTuple, equal to the plain tuple of its fields.
 
 The event loop is single threaded and deterministic: identical scenarios
 produce identical timelines and ledgers. The timeline repeats every present
 peer in every epoch, so its CSV and the ledger's build each row as one
-finished line, formatting an epoch's times and price once, and hand the
-lines to formatting.csv_text.
+finished line, in one %-operation on a row pattern over formatting.NUMBER
+(formatting an epoch's times and price once), and hand the lines to
+formatting.csv_text.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
+from .formatting import NUMBER
 from .model import (UPLOADER_ID, Equilibrium, GameInstance, PeerProfile,
                     _require_capacity, _require_finite)
 from .solver import solve
@@ -65,8 +70,7 @@ class ScenarioEvent:
                 raise ValidationError("settle duration must be >= 0")
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     time: float
     payer: str
     payee: str
@@ -99,11 +103,6 @@ class Ledger:
             total += balance
         return total
 
-    def transfer(self, time: float, payer: str, payee: str, amount: float):
-        self.balances[payer] -= amount
-        self.balances[payee] += amount
-        self.log.append(LedgerEntry(time, payer, payee, amount))
-
 
 def apply_transaction(ledger: Ledger, eq: Equilibrium, time: float) -> Ledger:
     """Charge each allocated downloader price * bandwidth to the uploader.
@@ -111,18 +110,29 @@ def apply_transaction(ledger: Ledger, eq: Equilibrium, time: float) -> Ledger:
     A payer short of the full charge pays out its remaining balance and is
     flagged credit-exhausted; the total of all balances is conserved.
     """
+    price = eq.price
+    balances, log = ledger.balances, ledger.log
     for peer_id, bandwidth in eq.allocation.items():
-        amount = eq.price * bandwidth
+        amount = price * bandwidth
         if amount == 0.0:
             continue
-        available = ledger.balance(peer_id)
+        available = balances[peer_id]
         if amount > available:
             amount = available
             ledger.exhausted.add(peer_id)
             if amount == 0.0:
                 continue
-        ledger.transfer(time, peer_id, UPLOADER_ID, amount)
+        balances[peer_id] = available - amount
+        balances[UPLOADER_ID] += amount
+        log.append(LedgerEntry(time, peer_id, UPLOADER_ID, amount))
     return ledger
+
+
+# one row of each CSV in one % operation; number fields take `x or 0.0`, so
+# that -0.0 renders as format_sig renders it
+_EPOCH_ROW = f"%s%s,{NUMBER},{NUMBER}%s"
+_TRANSACTION_ROW = f"transaction,{NUMBER},%s,%s,{NUMBER}"
+_BALANCE_ROW = f"balance,,,%s,{NUMBER}"
 
 
 @dataclass(frozen=True)
@@ -162,9 +172,9 @@ class TimelineRecord:
                 continue
             head += format_sig(eq.price) + ","
             allocation, utilities = eq.allocation.amounts, eq.utilities
-            rows.extend(f"{head}{peer_id},{format_sig(allocation[peer_id])},"
-                        f"{format_sig(utilities[peer_id])}{tail}"
-                        for peer_id in sorted(ep.peer_ids))
+            rows += [_EPOCH_ROW % (head, peer_id, allocation[peer_id] or 0.0,
+                                   utilities[peer_id] or 0.0, tail)
+                     for peer_id in sorted(ep.peer_ids)]
         header = ["epoch_start", "epoch_end", "price", "peer_id",
                   "allocation", "utility"]
         if oracle_check:
@@ -173,13 +183,13 @@ class TimelineRecord:
 
 
 def ledger_csv(ledger: Ledger) -> str:
-    from .formatting import csv_text, format_sig
+    from .formatting import csv_text
 
-    rows = [f"transaction,{format_sig(e.time)},{e.payer},{e.payee},"
-            f"{format_sig(e.amount)}" for e in ledger.log]
+    rows = [_TRANSACTION_ROW % (time or 0.0, payer, payee, amount or 0.0)
+            for time, payer, payee, amount in ledger.log]
     balances = ledger.balances
-    rows.extend(f"balance,,,{account},{format_sig(balances[account])}"
-                for account in sorted(balances))
+    rows += [_BALANCE_ROW % (account, balances[account] or 0.0)
+             for account in sorted(balances)]
     return csv_text(("record", "time", "payer", "payee", "amount"), rows)
 
 
@@ -218,8 +228,10 @@ def run_scenario(uploader_capacity: float,
     validate_scenario(events)
 
     ledger = Ledger()
+    balances, log = ledger.balances, ledger.log
     epochs: List[Epoch] = []
     present: Dict[str, PeerProfile] = {}  # credited with the balance of its last build
+    settled = 0  # the log entries before this index were charged before the last re-solve
     open_start: Optional[float] = None
     open_eq: Optional[Equilibrium] = None
     open_game: Optional[GameInstance] = None
@@ -233,15 +245,26 @@ def run_scenario(uploader_capacity: float,
             epochs.append(Epoch(open_start, end_time, open_eq, open_ids, open_game))
         open_start = None
 
-    def resolve():
+    def resolve(joiner: Optional[str]):
+        nonlocal settled
+        # a profile is rebuilt, and so validated again, only when the peer's
+        # balance has moved off the credits it was built with, which only a
+        # payer charged since the last re-solve or the joiner can hold. The
+        # log lists a settle's payers in the game's peer order, present's,
+        # and the joiner is last in present: profiles are rebuilt in
+        # present's order
+        moved = [entry.payer for entry in log[settled:]]
+        settled = len(log)
+        if joiner is not None:
+            moved.append(joiner)
+        for peer_id in moved:
+            peer = present.get(peer_id)
+            if peer is not None:
+                balance = balances[peer_id]
+                if balance != peer.credits:
+                    present[peer_id] = PeerProfile(peer_id, balance, peer.capacity)
         if not present:
             return None, None
-        # a peer's profile is rebuilt, and so validated again, only when its
-        # balance has moved off the credits it was built with
-        for peer_id, peer in present.items():
-            balance = ledger.balance(peer_id)
-            if balance != peer.credits:
-                present[peer_id] = PeerProfile(peer_id, balance, peer.capacity)
         game = GameInstance(uploader_capacity, tuple(present.values()))
         # one event moves the price little, so the search starts near the last
         return solve(game, near=open_eq.price if open_eq is not None else None), game
@@ -253,12 +276,14 @@ def run_scenario(uploader_capacity: float,
             continue
         close_epoch(ev.time)
         if ev.kind is EventKind.JOIN:
-            ledger.register(ev.peer.id, ev.peer.credits)
-            present[ev.peer.id] = ev.peer
+            joiner = ev.peer.id
+            ledger.register(joiner, ev.peer.credits)
+            present[joiner] = ev.peer
         else:
+            joiner = None
             del present[ev.peer_id]
         open_start = ev.time
-        open_eq, open_game = resolve()
+        open_eq, open_game = resolve(joiner)
         open_ids = tuple(present)
 
     close_epoch(INFINITY)

@@ -249,16 +249,30 @@ def tiny_capacity_file(tmp_path):
     return str(path)
 
 
-def _run_python(*args):
+def _run_python(*args, timeout=60):
     src = Path(credshare.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
-def _run_cli(*argv):
-    return _run_python("-m", "credshare", *argv)
+def _run_cli(*argv, timeout=60):
+    return _run_python("-m", "credshare", *argv, timeout=timeout)
+
+
+def test_bargain_step_below_an_ulp_of_the_price_exits_2_at_once():
+    # 1e-300 cannot move a price near 288, and no round limit can be
+    # refused in advance past the float range: the walk must stop on the
+    # first step that leaves the price where it was, not run forever
+    instance = str(Path(__file__).parent / "golden" / "example4_instance.json")
+    run = _run_cli("bargain", instance, "--step", "1e-300",
+                   "--max-rounds", "1" + "0" * 400, timeout=15)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == [
+        "bargain: round 1: step 1e-300 leaves the price 288.5390081777927 "
+        "unchanged; the walk cannot move"]
 
 
 def test_solve_tiny_capacity(tiny_capacity_file):

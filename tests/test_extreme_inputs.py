@@ -5,21 +5,37 @@ anywhere in the positive float range (5e-324 to 1.7e308).
 replays and ends within epsilon of the capacity, or exits 1 (a validation
 problem) or 2 (a walk that cannot converge) with diagnostic lines only,
 never a traceback. A --max-rounds past the float range changes nothing
-for a session that ended within a smaller limit.
+for a session that ended within a smaller limit, and a step too small to
+move the opening price ends the session at once even under that limit.
+
+`credshare simulate`: every scenario either exits 0 with the library's
+rendering of run_scenario and a conserved ledger, or exits 1 or 2 with
+exactly one `credshare:` line, never a traceback.
 """
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, strategies as st
 
 from credshare.cli import main
-from credshare.interchange import load_instance
+from credshare.interchange import load_instance, load_scenario
+from credshare.model import LN2, UPLOADER_ID
 from credshare.protocol import BargainConfig, replay, run_bargaining
+from credshare.simulator import EventKind, Ledger, ledger_csv, run_scenario
 
 POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
 BEYOND_FLOAT_RANGE = 10 ** 400
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def _bargain(path, knobs):
@@ -27,10 +43,7 @@ def _bargain(path, knobs):
     argv = ["bargain", str(path)]
     for flag, value in knobs.items():
         argv += [flag, str(value)]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return _cli(argv)
 
 
 @st.composite
@@ -42,6 +55,16 @@ def bargain_sessions(draw):
              for flag in ("--step", "--epsilon", "--initial-price")}
     knobs["--max-rounds"] = draw(st.integers(1, 2000))
     knobs["--max-refinements"] = draw(st.integers(0, 20))
+    # the opening price: the initial price, or the largest cutoff as
+    # PeerProfile computes it
+    mu0 = knobs["--initial-price"] or max(
+        p["credits"] / p["capacity"] / LN2 for p in peers)
+    sub_ulp = math.ulp(mu0) * draw(st.floats(2.0 ** -60, 0.25))
+    if draw(st.booleans()) and 0.0 < sub_ulp and mu0 - sub_ulp == mu0:
+        # a step that leaves the opening price unchanged ends the walk in
+        # round 1 even when no round limit could
+        knobs["--step"] = sub_ulp
+        knobs["--max-rounds"] = BEYOND_FLOAT_RANGE
     return instance, {flag: value for flag, value in knobs.items() if value is not None}
 
 
@@ -75,3 +98,63 @@ def test_bargain_works_or_fails_fast(session, tmp_path_factory):
     huge = {**knobs, "--max-rounds": BEYOND_FLOAT_RANGE}
     assert _bargain(path, huge) == (code, out, err)
 
+
+@st.composite
+def churn_scenarios(draw):
+    """Joins, leaves, rejoins and settles at sorted times, every number
+    drawn from the whole positive float range."""
+    times = sorted(draw(st.lists(POSITIVE, min_size=1, max_size=12)))
+    events, present, departed = [], [], []
+    for time in times:
+        kind = draw(st.sampled_from(("join", "join", "leave", "settle")))
+        if kind == "join" or not present:
+            if departed and draw(st.booleans()):
+                peer = departed.pop()
+            else:
+                peer = {"id": f"p{len(events)}", "credits": draw(POSITIVE),
+                        "capacity": draw(POSITIVE)}
+            present.append(peer)
+            events.append({"time": time, "kind": "join", "peer": peer})
+        elif kind == "leave":
+            peer = present.pop(draw(st.integers(0, len(present) - 1)))
+            departed.append(peer)
+            events.append({"time": time, "kind": "leave", "peer": {"id": peer["id"]}})
+        else:
+            events.append({"time": time, "kind": "settle", "duration": draw(POSITIVE)})
+    return {"uploader_capacity": draw(POSITIVE), "events": events}
+
+
+def _assert_conserved(ledger, events):
+    """Replaying the log on the endowments lands on the ledger's balances
+    bit for bit, no payer pays more than it holds, and the total stays
+    within rounding of the endowment."""
+    endowments = {UPLOADER_ID: 0.0}
+    for ev in events:
+        if ev.kind is EventKind.JOIN:
+            endowments.setdefault(ev.peer.id, ev.peer.credits)
+    replayed = dict(endowments)
+    for _, payer, payee, amount in ledger.log:
+        assert 0.0 < amount <= replayed[payer], (payer, amount, replayed[payer])
+        replayed[payer] -= amount
+        replayed[payee] += amount
+    assert replayed == ledger.balances
+    assert all(balance >= 0.0 for balance in ledger.balances.values())
+    total, endowed = ledger.total(), Ledger(endowments).total()
+    assert total == endowed or abs(total - endowed) <= 1e-9 * endowed, (total, endowed)
+
+
+@given(scenario=churn_scenarios())
+def test_simulate_works_or_fails_fast(scenario, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "churn_scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _cli(["simulate", str(path)])
+    if code != 0:
+        assert code in (1, 2), err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("credshare: "), err
+        return
+    assert err == ""
+    capacity, events = load_scenario(str(path))
+    timeline, ledger = run_scenario(capacity, events)
+    assert out == timeline.to_csv() + "== ledger ==\n" + ledger_csv(ledger)
+    _assert_conserved(ledger, events)

@@ -7,7 +7,7 @@ import pytest
 
 from credshare import BargainConfig, ConvergenceError, PeerProfile, run_bargaining
 from credshare.experiments import example_game, example_scenario
-from credshare.formatting import SIG_DIGITS, csv_text, format_sig
+from credshare.formatting import NUMBER, SIG_DIGITS, csv_text, format_sig
 from credshare.oracle import GridSpec, grid_search_price, revenue_agreement
 from credshare.simulator import EventKind, ScenarioEvent, ledger_csv, run_scenario
 
@@ -75,6 +75,18 @@ def test_format_sig_fixed_cases():
     assert format_sig(10**7) == "10000000"
     assert format_sig(True) == "True"
     assert format_sig(-0.0) == format_sig(numpy.float64(-0.0)) == "0"
+
+
+def test_number_pattern_renders_every_float_as_format_sig():
+    # the simulator's row writers apply NUMBER to `x or 0.0` in one
+    # %-operation per row instead of calling format_sig per field
+    rng = random.Random(7)
+    fixed = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+             -5e-324, 2.2250738585072009e-308, 1e16, 0.1, 1234567.5]
+    for value in [*_random_doubles(rng, 20000), *fixed]:
+        assert NUMBER % (value or 0.0) == format_sig(value), value.hex()
+    row = f"x,{NUMBER},%s,{NUMBER}"
+    assert row % (-0.0 or 0.0, "a%sb", math.nan or 0.0) == "x,0,a%sb,nan"
 
 
 def test_csv_text_takes_a_str_row_as_a_finished_line():

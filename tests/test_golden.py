@@ -9,7 +9,9 @@ save_instance, the input of the bargaining golden.
 churn30_scenario.json is a seeded 30-peer churn scenario: double settles
 that run payers dry, leaves, a zero-credit joiner and a rejoin after
 spending. churn30_simulate.out is what `simulate` printed for it while
-every re-solve still rebuilt every present peer's profile.
+every re-solve still rebuilt every present peer's profile, and
+churn30_simulate_oracle.out what `simulate --oracle` printed for it while
+each timeline row was still joined from format_sig calls.
 """
 
 from pathlib import Path
@@ -30,6 +32,8 @@ CASES = [
     (["bargain", str(GOLDEN / "example4_instance.json"), "--step", "1", "--seed", "0"],
      "bargain_example4_step1_seed0.out"),
     (["simulate", str(GOLDEN / "churn30_scenario.json")], "churn30_simulate.out"),
+    (["simulate", str(GOLDEN / "churn30_scenario.json"), "--oracle"],
+     "churn30_simulate_oracle.out"),
 ]
 
 

@@ -276,6 +276,35 @@ def test_bargaining_round_one_overshoot_raises():
     assert diag.startswith("round 1: demand ") and "overshot capacity" in diag
 
 
+def test_bargaining_stalls_on_a_step_that_leaves_the_price_unchanged(example4_game):
+    # 1e-300 is far below half an ulp of the top cutoff: round 1 cannot move
+    cfg = BargainConfig(step=1e-300, max_rounds=10**400)
+    with pytest.raises(ConvergenceError) as exc:
+        run_bargaining(example4_game, cfg)
+    trace = exc.value.trace
+    [probe] = trace.rounds
+    assert probe.price == example4_game.market_top
+    assert trace.diagnostics == [
+        f"round 1: step 1e-300 leaves the price {probe.price} unchanged; "
+        f"the walk cannot move"]
+    assert replay(trace, example4_game)
+
+
+def test_bargaining_stalls_on_a_refined_step_that_leaves_the_price_unchanged():
+    # one 1e-13 step below the cutoff overshoots a 1e-17 capacity; a tenth
+    # of it cannot move the price back off the cutoff
+    game = make_game(1e-17, [(400.0, 2.0)])
+    with pytest.raises(ConvergenceError) as exc:
+        run_bargaining(game, BargainConfig(step=1e-13, tolerance=1e-20))
+    trace = exc.value.trace
+    [refinement] = trace.refinements
+    assert refinement.new_step == 1e-14 and len(trace.rounds) == 2
+    assert trace.diagnostics[-1] == (
+        f"round 2: step 1e-14 leaves the price {game.market_top} unchanged; "
+        f"the walk cannot move")
+    assert replay(trace, game)
+
+
 def test_bargaining_tolerance_larger_than_capacity_stops_at_start(example4_game):
     eq, trace = run_bargaining(example4_game, BargainConfig(tolerance=5.0))
     assert len(trace.rounds) == 1

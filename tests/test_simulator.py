@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -474,3 +475,92 @@ def test_a_join_after_a_settle_rebuilds_exactly_the_charged_payers(built):
     payers = [entry.payer for entry in ledger.log]
     assert 0 < len(payers) < len(peers)  # some peers were priced out
     assert sorted(built) == sorted(payers)
+
+
+# --- scaling every joiner's credits by a power of two ------------------------
+
+SCALINGS = (-8, -3, 1, 5, 20)
+
+
+def _scaled(events, k):
+    """The events with every joiner's credits times 2**k, or None when a
+    scaled credit would leave the normal range."""
+    scaled = []
+    for ev in events:
+        if ev.kind is EventKind.JOIN:
+            try:
+                credits = math.ldexp(ev.peer.credits, k)
+            except OverflowError:
+                return None
+            if ev.peer.credits and credits < sys.float_info.min:
+                return None
+            ev = ScenarioEvent(ev.time, ev.kind,
+                               peer=PeerProfile(ev.peer.id, credits, ev.peer.capacity))
+        scaled.append(ev)
+    return scaled
+
+
+def _counted_run(capacity, events):
+    """run_scenario's timeline and ledger and the count of profiles it
+    rebuilt, or the type of the error it raised."""
+    original = credshare.simulator.PeerProfile
+    rebuilt = []
+
+    def counting(peer_id, *args):
+        rebuilt.append(peer_id)
+        return original(peer_id, *args)
+
+    credshare.simulator.PeerProfile = counting
+    try:
+        timeline, ledger = run_scenario(capacity, events)
+    except (ValidationError, ConvergenceError) as error:
+        return type(error)
+    finally:
+        credshare.simulator.PeerProfile = original
+    return timeline, ledger, len(rebuilt)
+
+
+def _assert_scales_exactly(capacity, events, k):
+    """Prices, utilities, ledger amounts and balances times 2**k exactly;
+    allocations, exhausted payers and rebuilt profiles unchanged. A game
+    without a credited peer posts solve's nominal price 1.0 at any scale."""
+    scaled = _scaled(events, k)
+    if scaled is None:
+        return False
+    base, other = _counted_run(capacity, events), _counted_run(capacity, scaled)
+    if isinstance(base, type):
+        assert other is base
+        return True
+    (timeline, ledger, rebuilt), (timeline2, ledger2, rebuilt2) = base, other
+    factor = math.ldexp(1.0, k)
+    assert len(timeline2.epochs) == len(timeline.epochs)
+    for ep, ep2 in zip(timeline.epochs, timeline2.epochs):
+        assert (ep2.start, ep2.end, ep2.peer_ids) == (ep.start, ep.end, ep.peer_ids)
+        eq, eq2 = ep.equilibrium, ep2.equilibrium
+        if eq is None:
+            assert eq2 is None
+            continue
+        assert eq2.price == (eq.price * factor if ep.game.credited() else 1.0)
+        assert dict(eq2.allocation.items()) == dict(eq.allocation.items())
+        assert eq2.utilities == {pid: u * factor for pid, u in eq.utilities.items()}
+    assert ledger2.log == [(time, payer, payee, amount * factor)
+                           for time, payer, payee, amount in ledger.log]
+    assert ledger2.balances == {a: b * factor for a, b in ledger.balances.items()}
+    assert ledger2.exhausted == ledger.exhausted
+    assert rebuilt2 == rebuilt
+    return True
+
+
+def test_scaling_joiner_credits_by_a_power_of_two_scales_every_price_exactly():
+    rng = random.Random(137)
+    checked = 0
+    for _ in range(40):
+        capacity, events = _settle_heavy_scenario(rng)
+        for k in SCALINGS:
+            checked += _assert_scales_exactly(capacity, events, k)
+    assert checked == 40 * len(SCALINGS)
+
+
+@given(_scenarios(), st.sampled_from(SCALINGS))
+def test_property_scaling_joiner_credits_by_a_power_of_two(scenario, k):
+    _assert_scales_exactly(*scenario, k)
