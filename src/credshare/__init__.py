@@ -31,7 +31,6 @@ from .protocol import (
     Message,
     MessageKind,
     ProtocolTrace,
-    RefinementEvent,
     TraceRound,
     replay,
     run_bargaining,
@@ -72,7 +71,6 @@ __all__ = [
     "PeerProfile",
     "ProtocolAbort",
     "ProtocolTrace",
-    "RefinementEvent",
     "RegionLabel",
     "ScenarioEvent",
     "SolverConfig",

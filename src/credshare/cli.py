@@ -100,18 +100,16 @@ def cmd_bargain(args) -> int:
         max_rounds=args.max_rounds,
         max_refinements=args.max_refinements,
     )
+    # every ConvergenceError from run_bargaining carries its trace and diagnosis
     try:
         _, trace = run_bargaining(game, cfg)
+        code = 0
     except ConvergenceError as exc:
-        if exc.trace is not None:
-            _write(exc.trace.to_csv(), args.output)
-        for line in getattr(exc.trace, "diagnostics", []) or [str(exc)]:
-            print(f"bargain: {line}", file=sys.stderr)
-        return 2
+        trace, code = exc.trace, 2
     for line in trace.diagnostics:
         print(f"bargain: {line}", file=sys.stderr)
     _write(trace.to_csv(), args.output)
-    return 0
+    return code
 
 
 def _ledger_path(timeline_path: str) -> str:

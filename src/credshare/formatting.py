@@ -16,8 +16,8 @@ SIG_DIGITS = 6
 NUMBER = "%%.%dg" % SIG_DIGITS
 
 
-def format_sig(value, digits=SIG_DIGITS):
-    """Render a number with a fixed count of significant digits."""
+def format_sig(value):
+    """Render a number with SIG_DIGITS significant digits."""
     if type(value) is not float:
         if value is None:
             return ""
@@ -27,7 +27,7 @@ def format_sig(value, digits=SIG_DIGITS):
             return str(value)
     # "%g" takes any number through __float__ and renders inf, -inf and nan;
     # only the sign of -0.0 needs normalizing
-    return "%.*g" % (digits, value) if value else "0"
+    return "%.*g" % (SIG_DIGITS, value) if value else "0"
 
 
 def csv_line(fields):

@@ -70,7 +70,8 @@ class PeerProfile:
     """A downloader: identity, credit balance, and download capacity.
 
     The id may not be the uploader's; a credited peer's thresholds must be
-    positive and finite."""
+    positive and finite, and its demand quotient credits / (price ln2)
+    finite just above its saturation price."""
 
     id: str
     credits: float
@@ -96,6 +97,11 @@ class PeerProfile:
         if self.credits > 0 and not (saturation > 0.0 and cutoff < math.inf):
             raise ValidationError(f"peer {self.id!r}: threshold prices [{saturation}, "
                                   f"{cutoff}] outside the positive, finite range")
+        # demand is credits / (price ln2) - capacity between the thresholds,
+        # and the quotient is largest just above the saturation price
+        if self.credits > 0 and not self.credits / (saturation * LN2) < math.inf:
+            raise ValidationError(f"peer {self.id!r}: demand credits / (price ln2) "
+                                  f"overflows above the saturation price {saturation}")
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "cutoff_price", cutoff)
         object.__setattr__(self, "saturation_price", saturation)

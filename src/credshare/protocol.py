@@ -15,14 +15,18 @@ Two schemes between the uploader and n downloaders:
   terminate near the optimum. The uploader never computes a closed form;
   it only compares demand to capacity.
 
-Both runs emit an auditable trace: every broadcast price with the per-peer
-demands it drew, refinement events, and the terminal equilibrium. Each
-round's demands are listed and totalled in the game's priority order. Both
-runs are deterministic. The direct scheme also logs its messages, each
-sender numbering its own, every batch in send order (the game's listing
-order); its REQUEST stage and a misreported reply appear nowhere else. A
-bargaining trace logs no messages: its rounds hold every price posted and
-every demand drawn.
+Both runs emit an auditable trace of rounds and diagnostics: every price
+posted with the per-peer demands it drew and their total, numbered by
+position; a line for each refinement and failure; and the terminal
+equilibrium. Each round's demands are listed and totalled in the game's
+priority order. A bargaining round that overshot is kept with
+accepted=False: it is the refinement, and the step it overshot with is the
+configured step divided by ten once for each rejected round before it.
+Both runs are deterministic. The direct scheme also logs its messages,
+each sender numbering its own, every batch in send order (the game's
+listing order); its REQUEST stage and a misreported reply appear nowhere
+else. A bargaining trace logs no messages: its rounds hold every price
+posted and every demand drawn.
 """
 
 import math
@@ -97,42 +101,28 @@ class BargainConfig:
 
 @dataclass(frozen=True)
 class TraceRound:
-    index: int
     price: float
     demands: Mapping[str, float]
     total: float
     accepted: bool  # False for overshoot probes rolled back by refinement
 
 
-@dataclass(frozen=True)
-class RefinementEvent:
-    round_index: int   # the probe round that overshot
-    price: float
-    total: float
-    old_step: float
-    new_step: float
-
-
 @dataclass
 class ProtocolTrace:
     protocol: str  # "direct" or "bargaining"
-    rounds: List[TraceRound] = field(default_factory=list)
-    refinements: List[RefinementEvent] = field(default_factory=list)
+    rounds: List[TraceRound] = field(default_factory=list)  # round k is rounds[k - 1]
     messages: List[Message] = field(default_factory=list)
     diagnostics: List[str] = field(default_factory=list)
     equilibrium: Optional[Equilibrium] = None
     config: Optional[BargainConfig] = None
 
-    def accepted_rounds(self):
-        return [r for r in self.rounds if r.accepted]
-
     def to_csv(self):
         from .formatting import csv_text, format_sig
 
         rows = []
-        for r in self.rounds:
+        for number, r in enumerate(self.rounds, 1):
             # formatted once per round, not once per peer
-            index, price, total = str(r.index), format_sig(r.price), format_sig(r.total)
+            index, price, total = str(number), format_sig(r.price), format_sig(r.total)
             for peer_id, demand in r.demands.items():
                 rows.append((index, price, peer_id, demand, total))
         if self.rounds:
@@ -212,7 +202,7 @@ def run_direct(game: GameInstance,
             trace.diagnostics.append(diag)
             raise ProtocolAbort(diag, trace)
 
-    trace.rounds.append(TraceRound(index=1, price=eq.price, demands=demands,
+    trace.rounds.append(TraceRound(price=eq.price, demands=demands,
                                    total=total, accepted=True))
     if total == 0.0:
         diag = "no demand at the equilibrium price; nothing to stream"
@@ -267,11 +257,6 @@ def _refusal(game: GameInstance, cfg: BargainConfig, mu0: float) -> Optional[str
             f"refused before the first round")
 
 
-def _stalled(round_index: int, price: float, step: float) -> str:
-    return (f"round {round_index}: step {step} leaves the price {price} "
-            f"unchanged; the walk cannot move")
-
-
 def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
                    seed: int = 0) -> Tuple[Equilibrium, ProtocolTrace]:
     """Iterative scheme: walk the price down until demand meets capacity.
@@ -303,10 +288,14 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
     u_k = game.uploader_capacity
 
     trace = ProtocolTrace(protocol="bargaining", config=cfg)
+
+    def fail(diag):
+        trace.diagnostics.append(diag)
+        return ConvergenceError(diag, trace)
+
     diag = _refusal(game, cfg, mu0)
     if diag is not None:
-        trace.diagnostics.append(diag)
-        raise ConvergenceError(diag, trace)
+        raise fail(diag)
 
     price = mu0
     step = cfg.step
@@ -321,80 +310,62 @@ def run_bargaining(game: GameInstance, config: Optional[BargainConfig] = None,
         saturated_all = price <= game.saturation_floor
 
         if in_band and (crossed or saturated_all or round_index == 1):
-            trace.rounds.append(TraceRound(round_index, price, demands, total, True))
+            trace.rounds.append(TraceRound(price, demands, total, True))
             eq = equilibrium_at(game, price)
             trace.equilibrium = eq
             return eq, trace
 
         if crossed:
-            trace.rounds.append(TraceRound(round_index, price, demands, total, False))
+            trace.rounds.append(TraceRound(price, demands, total, False))
             if prev_price is None:
                 # no under-capacity price to resume from, and every later
                 # round would lie lower still and overshoot as well
-                diag = (f"round 1: demand {total} at the initial price {price} "
-                        f"overshot capacity {u_k} beyond tolerance "
-                        f"{cfg.tolerance}; the walk only lowers the price")
-                trace.diagnostics.append(diag)
-                raise ConvergenceError(diag, trace)
+                raise fail(f"round 1: demand {total} at the initial price {price} "
+                           f"overshot capacity {u_k} beyond tolerance "
+                           f"{cfg.tolerance}; the walk only lowers the price")
             if refinements_used >= cfg.max_refinements:
-                diag = (f"round {round_index}: demand {total} overshot capacity "
-                        f"{u_k} beyond tolerance {cfg.tolerance} and no "
-                        f"refinements remain (step {step})")
-                trace.diagnostics.append(diag)
-                raise ConvergenceError(diag, trace)
+                raise fail(f"round {round_index}: demand {total} overshot capacity "
+                           f"{u_k} beyond tolerance {cfg.tolerance} and no "
+                           f"refinements remain (step {step})")
             old_step, step = step, step / 10.0
             refinements_used += 1
-            trace.refinements.append(
-                RefinementEvent(round_index, price, total, old_step, step)
-            )
             trace.diagnostics.append(
                 f"round {round_index}: overshoot at price {price} "
                 f"(demand {total} > capacity {u_k}); refining step "
                 f"{old_step} -> {step}"
             )
-            price = prev_price - step
-            if price == prev_price:
-                diag = _stalled(round_index, price, step)
-                trace.diagnostics.append(diag)
-                raise ConvergenceError(diag, trace)
-            if price <= 0:
-                diag = "refined price walked to zero before demand met capacity"
-                trace.diagnostics.append(diag)
-                raise ConvergenceError(diag, trace)
-            continue
+            zero = "refined price walked to zero before demand met capacity"
+        else:
+            if saturated_all:
+                raise fail(f"round {round_index}: demand saturated at {total}, "
+                           f"below capacity {u_k} minus tolerance; unreachable")
+            trace.rounds.append(TraceRound(price, demands, total, True))
+            prev_price = price
+            zero = "price walked to zero before demand met capacity"
 
-        if saturated_all:
-            diag = (f"round {round_index}: demand saturated at {total}, "
-                    f"below capacity {u_k} minus tolerance; unreachable")
-            trace.diagnostics.append(diag)
-            raise ConvergenceError(diag, trace)
-
-        trace.rounds.append(TraceRound(round_index, price, demands, total, True))
-        prev_price = price
-        price = price - step
+        # both branches step down from the anchor: a refinement resumes from
+        # it with the smaller step, a plain round has just become it
+        price = prev_price - step
         if price == prev_price:
-            diag = _stalled(round_index, price, step)
-            trace.diagnostics.append(diag)
-            raise ConvergenceError(diag, trace)
+            raise fail(f"round {round_index}: step {step} leaves the price {price} "
+                       f"unchanged; the walk cannot move")
         if price <= 0:
-            diag = "price walked to zero before demand met capacity"
-            trace.diagnostics.append(diag)
-            raise ConvergenceError(diag, trace)
+            raise fail(zero)
 
-    diag = f"no convergence within max_rounds={cfg.max_rounds}"
-    trace.diagnostics.append(diag)
-    raise ConvergenceError(diag, trace)
+    raise fail(f"no convergence within max_rounds={cfg.max_rounds}")
 
 
 def replay(trace: ProtocolTrace, game: GameInstance) -> bool:
     """Recompute every demand and price step in a trace; True iff all match.
 
     Demands must equal the best response bit for bit; prices must follow
-    the protocol rule (the solved price for direct, stepping with recorded
-    refinements for bargaining). A trace with an equilibrium must end in an
-    accepted round (for bargaining, one within the tolerance band), and the
-    equilibrium must be the one that round's price induces. A malformed
-    trace replays False rather than raising.
+    the protocol rule (the solved price for direct; for bargaining, a step
+    down from the last accepted price, a tenth as long after each rejected
+    round, which needs such a price and a refinement to spare). A trace
+    with an equilibrium must end in an accepted round (for bargaining, one
+    within the tolerance band), and the equilibrium must be the one that
+    round's price induces. A malformed trace replays False rather than
+    raising.
     """
     def demands_match(r):
         if not r.price > 0:  # no demand is defined there
@@ -413,22 +384,19 @@ def replay(trace: ProtocolTrace, game: GameInstance) -> bool:
         cfg = trace.config
         expected = cfg.initial_price if cfg.initial_price is not None else game.market_top
         step = cfg.step
-        refinements = {ev.round_index: ev for ev in trace.refinements}
+        refinements_used = 0
         prev_price = None
         for r in trace.rounds:
             if r.price != expected or not demands_match(r):
                 return False
             if not r.accepted:
-                ev = refinements.get(r.index)
-                if ev is None or ev.old_step != step or ev.price != r.price:
+                if prev_price is None or refinements_used >= cfg.max_refinements:
                     return False
-                step = ev.new_step
-                if prev_price is None:
-                    return False
-                expected = prev_price - step
+                refinements_used += 1
+                step = step / 10.0
             else:
                 prev_price = r.price
-                expected = r.price - step
+            expected = prev_price - step
         band = cfg.tolerance
     else:
         return False

@@ -409,6 +409,18 @@ def test_unwritable_output_exits_1(tmp_path, argv, target, capsys):
     assert err.count("\n") == 1
 
 
+
+def test_failed_bargain_with_unwritable_output_prints_its_diagnosis_first(
+        instance_file, tmp_path, capsys):
+    # a failed session prints its bargain: lines, then cannot write its trace
+    path = tmp_path / "missing" / "trace.csv"
+    assert main(["bargain", instance_file, "--max-rounds", "3",
+                 "--output", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("bargain: no convergence within max_rounds=3: ")
+    assert lines[1].startswith(f"credshare: cannot write {path}: ")
+
 def test_example_timelines_mirror_each_other(capsys):
     assert main(["example", "example4"]) == 0
     four = capsys.readouterr().out
@@ -492,16 +504,33 @@ def test_subnormal_saturation_price_solves_quietly(tmp_path, capacity):
 
 
 def test_capacity_sum_overflow_exits_1(tmp_path):
-    # u_k + d overflows: the inversion would price at 0.0
+    # u_k + d overflows: the inversion would price at 0.0. The peer's capacity
+    # stays below the ~9e307 whose demand quotient PeerProfile refuses first
     path = tmp_path / "doc.json"
-    path.write_text('{"uploader_capacity": 7.840772169538683e307, "peers": [{"id": '
-                    '"a", "credits": 1.0, "capacity": 1.0136159179084475e308}]}')
+    path.write_text('{"uploader_capacity": 1.0136159179084475e308, "peers": [{"id": '
+                    '"a", "credits": 1.0, "capacity": 7.840772169538683e307}]}')
     run = _run_cli("solve", str(path))
     assert run.returncode == 1
-    assert run.stderr == ("credshare: uploader_capacity 7.840772169538683e+307 plus "
-                          "the peers' total capacity 1.0136159179084475e+308 is not "
+    assert run.stderr == ("credshare: uploader_capacity 1.0136159179084475e+308 plus "
+                          "the peers' total capacity 7.840772169538683e+307 is not "
                           "finite\n")
 
+
+
+def test_demand_quotient_overflow_exits_1(tmp_path, capsys):
+    # credits / (price ln2) overflowed just above the saturation price 0.72,
+    # so the sweep printed the full capacity 1.7e308 at 0.8, 1.0 and 1.2
+    # where the demand is 1.37e308, 7.5e307 and 3.4e307
+    path = tmp_path / "big.json"
+    path.write_text('{"uploader_capacity": 1.0, "peers": [{"id": "p0", '
+                    '"credits": 1.7e308, "capacity": 1.7e308}]}')
+    assert main(["sweep", str(path), "--sweep", "price", "--range", "0.8", "1.4",
+                 "--steps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("credshare: peer 'p0': demand credits / (price ln2) "
+                            "overflows above the saturation price "
+                            "0.7213475204444817\n")
 
 def test_credit_sum_overflow_exits_1(tmp_path):
     # the inversion's credit sum overflows: the price would be inf and the

@@ -11,30 +11,46 @@ move the opening price ends the session at once even under that limit.
 `credshare simulate`: every scenario either exits 0 with the library's
 rendering of run_scenario and a conserved ledger, or exits 1 or 2 with
 exactly one `credshare:` line, never a traceback.
+
+`credshare solve` (with and without --oracle) and both sweeps: every
+instance either exits 0 with the library's result and nothing on stderr,
+or exits 1 or 2 with exactly one `credshare:` line.
+
+Every call shows each warning it raises on its stderr, so a numpy
+overflow warning fails an exit 0 as a traceback would.
 """
 
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from credshare.cli import main
+from credshare.experiments import capacity_sweep, price_sweep
+from credshare.formatting import format_sig
 from credshare.interchange import load_instance, load_scenario
 from credshare.model import LN2, UPLOADER_ID
 from credshare.protocol import BargainConfig, replay, run_bargaining
 from credshare.simulator import EventKind, Ledger, ledger_csv, run_scenario
+from credshare.solver import solve
 
 POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
 BEYOND_FLOAT_RANGE = 10 ** 400
 
 
 def _cli(argv):
-    """(exit code, stdout, stderr) of one in-process CLI call."""
+    """(exit code, stdout, stderr) of one in-process CLI call; every warning
+    the call raises is shown on its stderr, as a command line run shows it."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -158,3 +174,74 @@ def test_simulate_works_or_fails_fast(scenario, tmp_path_factory):
     timeline, ledger = run_scenario(capacity, events)
     assert out == timeline.to_csv() + "== ledger ==\n" + ledger_csv(ledger)
     _assert_conserved(ledger, events)
+
+
+@st.composite
+def instances(draw):
+    peers = [{"id": f"p{i}", "credits": draw(POSITIVE | st.just(0.0)),
+              "capacity": draw(POSITIVE)}
+             for i in range(draw(st.integers(1, 4)))]
+    return {"uploader_capacity": draw(POSITIVE), "peers": peers}
+
+
+def _instance_cli(tmp_path_factory, instance, argv):
+    """(exit code, stdout, instance path) of `credshare argv[0] path
+    argv[1:]`; an exit 1 or 2 must print exactly one `credshare:` line, and
+    an exit 0 nothing on stderr."""
+    path = tmp_path_factory.getbasetemp() / "instance.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = _cli([argv[0], str(path), *argv[1:]])
+    if code == 0:
+        assert err == "", err
+    else:
+        assert code in (1, 2), err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("credshare: "), err
+    return code, out, str(path)
+
+
+# two peers whose demand quotient credits / (price ln2) is far from
+# overflow, and one whose quotient overflowed just above its saturation
+# price: the grid oracle multiplied an infinite demand and warned
+_QUOTIENT_OVERFLOW = {"uploader_capacity": 1e-150, "peers": [
+    {"id": "p0", "credits": 1e150, "capacity": 1e300},
+    {"id": "p1", "credits": 1.7e308, "capacity": 1.7e308},
+    {"id": "p2", "credits": 0.0, "capacity": 1e-9}]}
+
+
+@given(instance=instances(), oracle=st.booleans())
+@example(instance=_QUOTIENT_OVERFLOW, oracle=True)
+def test_solve_works_or_fails_fast(instance, oracle, tmp_path_factory):
+    argv = ["solve", "--oracle"] if oracle else ["solve"]
+    code, out, path = _instance_cli(tmp_path_factory, instance, argv)
+    if code == 0:
+        eq = solve(load_instance(path))
+        assert out.startswith(f"price: {format_sig(eq.price)}\nregion: {eq.region.value}\n")
+        assert ("oracle_agrees: " in out) == oracle
+
+
+@given(instance=instances(), steps=st.integers(1, 4),
+       bounds=st.none() | st.tuples(POSITIVE, POSITIVE))
+def test_price_sweep_works_or_fails_fast(instance, steps, bounds, tmp_path_factory):
+    argv = ["sweep", "--sweep", "price", "--steps", str(steps)]
+    if bounds is not None:
+        argv += ["--range", *map(repr, sorted(bounds))]
+    code, out, path = _instance_cli(tmp_path_factory, instance, argv)
+    if code == 0:
+        lo, hi = sorted(bounds) if bounds else (None, None)
+        assert out == price_sweep(load_instance(path), lo, hi, steps)
+
+
+@given(instance=instances(), steps=st.integers(1, 4), oracle=st.booleans(),
+       bounds=st.none() | st.tuples(POSITIVE | st.just(0.0), POSITIVE))
+def test_capacity_sweep_works_or_fails_fast(instance, steps, oracle, bounds,
+                                            tmp_path_factory):
+    argv = ["sweep", "--sweep", "capacity", "--steps", str(steps)]
+    if bounds is not None:
+        argv += ["--range", *map(repr, sorted(bounds))]
+    if oracle:
+        argv.append("--oracle")
+    code, out, path = _instance_cli(tmp_path_factory, instance, argv)
+    if code == 0:
+        lo, hi = sorted(bounds) if bounds else (0.0, None)
+        assert out == capacity_sweep(load_instance(path), lo, hi, steps, oracle=oracle)

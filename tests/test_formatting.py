@@ -12,7 +12,7 @@ from credshare.oracle import GridSpec, grid_search_price, revenue_agreement
 from credshare.simulator import EventKind, ScenarioEvent, ledger_csv, run_scenario
 
 
-def format_sig_reference(value, digits=SIG_DIGITS):
+def format_sig_reference(value):
     """format_sig before its float fast path, kept as the reference."""
     if value is None:
         return ""
@@ -26,7 +26,7 @@ def format_sig_reference(value, digits=SIG_DIGITS):
         return "nan"
     if value == 0.0:
         return "0"
-    return "{:.{p}g}".format(float(value), p=digits)
+    return "{:.{p}g}".format(float(value), p=SIG_DIGITS)
 
 
 def _random_doubles(rng, count):
@@ -51,10 +51,8 @@ def test_format_sig_floats_match_the_reference():
     values = [*_random_doubles(rng, 20000), -0.0, -math.nan, 5e-324]
     kinds = {"zero": 0, "subnormal": 0, "inf": 0, "nan": 0}
     for value in values:
-        digits = rng.randint(1, 17)
         for x in (value, numpy.float64(value)):
             assert format_sig(x) == format_sig_reference(x)
-            assert format_sig(x, digits) == format_sig_reference(x, digits)
         if value == 0.0:
             kinds["zero"] += 1
         elif 0.0 < abs(value) < 2.2250738585072014e-308:
@@ -109,8 +107,8 @@ def test_csv_text_takes_a_str_row_as_a_finished_line():
 
 def _plain_trace_csv(trace):
     """ProtocolTrace.to_csv as csv_text over unformatted rows."""
-    rows = [(r.index, r.price, pid, x, r.total)
-            for r in trace.rounds for pid, x in r.demands.items()]
+    rows = [(k, r.price, pid, x, r.total)
+            for k, r in enumerate(trace.rounds, 1) for pid, x in r.demands.items()]
     if trace.rounds:
         rows.append(("summary", trace.rounds[-1].price, "", "", trace.rounds[-1].total))
     return csv_text(("round", "price", "peer_id", "demand", "total_demand"), rows)
@@ -119,7 +117,7 @@ def _plain_trace_csv(trace):
 def test_trace_csv_matches_plain_rows():
     game = example_game("example4")
     _, refined = run_bargaining(game, BargainConfig(step=50.0))
-    assert refined.refinements
+    assert not all(r.accepted for r in refined.rounds)  # it refined
     with_zero = type(game)(game.uploader_capacity,
                           [*game.peers, PeerProfile("idle", 0.0, 1.0)])
     _, walked = run_bargaining(with_zero, BargainConfig(step=1.0))

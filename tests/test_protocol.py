@@ -2,8 +2,10 @@ import dataclasses
 import math
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from credshare import (
     BargainConfig,
@@ -141,7 +143,7 @@ def test_tampered_trace_fails_replay(example4_game):
     r = trace.rounds[0]
     demands = dict(r.demands)
     demands["peer1"] += 1e-9
-    trace.rounds[0] = TraceRound(r.index, r.price, demands, r.total, r.accepted)
+    trace.rounds[0] = TraceRound(r.price, demands, r.total, r.accepted)
     assert not replay(trace, example4_game)
 
 
@@ -150,7 +152,7 @@ def test_replay_checks_the_round_total(example4_game):
 
     _, trace = run_direct(example4_game)
     r = trace.rounds[0]
-    trace.rounds[0] = TraceRound(r.index, r.price, r.demands,
+    trace.rounds[0] = TraceRound(r.price, r.demands,
                                  math.nextafter(r.total, 0.0), r.accepted)
     assert not replay(trace, example4_game)
 
@@ -167,7 +169,7 @@ def test_replay_checks_the_direct_equilibrium(example4_game):
     trace.equilibrium = eq
     assert replay(trace, example4_game)
     # no demand is defined at a price of zero
-    trace.rounds = [TraceRound(r.index, 0.0, r.demands, r.total, r.accepted)]
+    trace.rounds = [TraceRound(0.0, r.demands, r.total, r.accepted)]
     assert not replay(trace, example4_game)
 
 
@@ -193,7 +195,7 @@ def test_bargaining_walks_down_to_the_solved_price(example4_game):
     assert abs(eq.total_allocation - 2.0) < 0.001
     assert abs(eq.price - mu_star) < 0.01
     assert len(trace.rounds) <= 8300
-    assert not trace.refinements
+    assert all(r.accepted for r in trace.rounds)  # no refinement
     assert replay(trace, example4_game)
 
 
@@ -205,7 +207,7 @@ def test_bargaining_single_peer():
 
 def test_bargaining_trace_monotone(example4_game):
     _, trace = run_bargaining(example4_game, BargainConfig(step=0.5))
-    accepted = trace.accepted_rounds()
+    accepted = [r for r in trace.rounds if r.accepted]
     for a, b in zip(accepted, accepted[1:]):
         assert b.price < a.price
         assert b.total >= a.total
@@ -213,8 +215,11 @@ def test_bargaining_trace_monotone(example4_game):
 
 def test_bargaining_coarse_step_refines(example4_game):
     eq, trace = run_bargaining(example4_game, BargainConfig(step=50.0))
-    assert trace.refinements
-    assert trace.diagnostics
+    # each refinement is the rejected round that caused it, with one line
+    rejected = [k for k, r in enumerate(trace.rounds, 1) if not r.accepted]
+    assert rejected and len(trace.diagnostics) == len(rejected)
+    for k, line in zip(rejected, trace.diagnostics):
+        assert line.startswith(f"round {k}: overshoot at price {trace.rounds[k - 1].price} ")
     assert abs(eq.total_allocation - 2.0) < 0.001
     assert replay(trace, example4_game)
     # probe rounds are recorded but rolled back
@@ -269,10 +274,10 @@ def test_bargaining_round_one_overshoot_raises():
     with pytest.raises(ConvergenceError) as exc:
         run_bargaining(game, BargainConfig(tolerance=1e-17))
     trace = exc.value.trace
-    [probe] = trace.rounds
-    assert probe.index == 1 and not probe.accepted and probe.total > 1e-16
-    assert trace.refinements == [] and trace.equilibrium is None
-    [diag] = trace.diagnostics
+    [probe] = trace.rounds  # round 1
+    assert not probe.accepted and probe.total > 1e-16
+    assert trace.equilibrium is None
+    [diag] = trace.diagnostics  # the failure; no refinement line
     assert diag.startswith("round 1: demand ") and "overshot capacity" in diag
 
 
@@ -297,8 +302,12 @@ def test_bargaining_stalls_on_a_refined_step_that_leaves_the_price_unchanged():
     with pytest.raises(ConvergenceError) as exc:
         run_bargaining(game, BargainConfig(step=1e-13, tolerance=1e-20))
     trace = exc.value.trace
-    [refinement] = trace.refinements
-    assert refinement.new_step == 1e-14 and len(trace.rounds) == 2
+    first, probe = trace.rounds
+    assert first.accepted and not probe.accepted
+    # one refinement, of the rejected round 2, to a step of 1e-14
+    assert trace.diagnostics[0] == (
+        f"round 2: overshoot at price {probe.price} (demand {probe.total} > "
+        f"capacity 1e-17); refining step 1e-13 -> 1e-14")
     assert trace.diagnostics[-1] == (
         f"round 2: step 1e-14 leaves the price {game.market_top} unchanged; "
         f"the walk cannot move")
@@ -352,7 +361,7 @@ def test_bargaining_round_budget(example4_game):
     _, trace = run_bargaining(example4_game, cfg)
     mu0 = trace.rounds[0].price
     mu_star = solve(example4_game).price
-    decrements = len(trace.accepted_rounds()) - 1
+    decrements = sum(r.accepted for r in trace.rounds) - 1
     assert decrements <= (mu0 - mu_star) / cfg.step + 1
 
 
@@ -374,7 +383,11 @@ def test_both_schemes_agree_on_random_instances():
         )
         bargain_eq, trace = run_bargaining(game, cfg)
         assert replay(trace, game)
-        final_step = trace.refinements[-1].new_step if trace.refinements else step
+        # a converged walk refined once per rejected round
+        final_step = step
+        for r in trace.rounds:
+            if not r.accepted:
+                final_step = final_step / 10.0
         assert abs(bargain_eq.price - direct_eq.price) <= step + 1e-9
         # per-peer agreement within the local demand slope over the final step
         for p in game.peers:
@@ -450,7 +463,7 @@ def _bargaining_outcome(game, cfg):
         eq, trace, error = None, exc.trace, str(exc)
     return dict(error=error, price=eq.price.hex() if eq else None,
                 csv=trace.to_csv(), rounds=trace.rounds,
-                diagnostics=trace.diagnostics, refinements=trace.refinements)
+                diagnostics=trace.diagnostics)
 
 
 def test_refusal_only_replaces_walks_that_reach_max_rounds():
@@ -470,14 +483,125 @@ def test_refusal_only_replaces_walks_that_reach_max_rounds():
             limit = f"no convergence within max_rounds={max_rounds}"
             if out["rounds"]:
                 walked_to_limit += 1
+                # the refinements are the rejected rounds among these
                 assert out["rounds"] == ref["rounds"][:max_rounds]
+                assert out["diagnostics"][:-1] == [
+                    line for line in ref["diagnostics"] if "refining step" in line
+                    and int(line.split(":")[0].split()[1]) <= max_rounds]
                 assert out["diagnostics"][-1] == limit
-                assert out["refinements"] == [
-                    ev for ev in ref["refinements"] if ev.round_index <= max_rounds]
             else:
                 refused += 1
-                [diag] = out["diagnostics"]
-                assert diag.startswith(limit + ":") and not out["refinements"]
+                [diag] = out["diagnostics"]  # no round, so no refinement
+                assert diag.startswith(limit + ":")
                 stated = int(re.search(r"needs at least (\d+) rounds", diag).group(1))
                 assert max_rounds < stated <= needed
     assert refused > 40 and walked_to_limit > 40
+
+
+# --- scaling credits, step and initial price by a power of two ---------------
+
+SCALINGS = (-8, -3, 1, 5, 20)
+
+
+def _desk_session(rng):
+    """A perfbench-like desk game (4-8 peers, capacity 0.2-0.8 of total
+    demand) whose walk from the top cutoff at the default step takes about
+    1 000 rounds, and knobs that keep the default step and tolerance."""
+    while True:
+        n = rng.randint(4, 8)
+        specs = [(rng.uniform(1.0, 500.0), rng.uniform(0.1, 5.0)) for _ in range(n)]
+        game = make_game(rng.uniform(0.2, 0.8) * sum(d for _, d in specs), specs)
+        price, top = solve(game).price, game.market_top
+        if price >= 0.5 * top:
+            break
+    scale = 1000 * BargainConfig().step / (top - price)
+    game = make_game(game.uploader_capacity, [(scale * c, d) for c, d in specs])
+    return game, dict(max_refinements=rng.randint(0, 6))
+
+
+def _scaled_session(game, knobs, k):
+    """The game and knobs with every credit, the step and the initial price
+    times 2**k, or None when a scaled input leaves the normal range."""
+    def scaled(x):
+        try:
+            y = math.ldexp(x, k)
+        except OverflowError:
+            return None
+        return y if sys.float_info.min <= y < math.inf else None
+
+    knobs = {**knobs, "step": knobs.get("step", BargainConfig().step)}
+    for name in ("step", "initial_price"):
+        if knobs.get(name) is not None:
+            knobs[name] = scaled(knobs[name])
+            if knobs[name] is None:
+                return None
+    peers = []
+    for p in game.peers:
+        credits = scaled(p.credits) if p.credits else 0.0
+        if credits is None:
+            return None
+        peers.append(PeerProfile(p.id, credits, p.capacity))
+    return GameInstance(game.uploader_capacity, peers), knobs
+
+
+def _numbers_blanked(lines):
+    return [re.sub(r"-?\d+(\.\d+)?(e[-+]?\d+)?", "#", line) for line in lines]
+
+
+def _assert_bargaining_scales_exactly(game, knobs, k):
+    """Every round's price times 2**k exactly; the same demands, totals and
+    accepted flags, the same outcome and the same diagnostics apart from
+    their numbers."""
+    scaled = _scaled_session(game, knobs, k)
+    if scaled is None:
+        return False
+    base = _bargaining_outcome(game, BargainConfig(**knobs))
+    other = _bargaining_outcome(scaled[0], BargainConfig(**scaled[1]))
+    factor = math.ldexp(1.0, k)
+    assert (other["error"] is None) == (base["error"] is None)
+    if base["price"] is not None:
+        assert float.fromhex(other["price"]) == float.fromhex(base["price"]) * factor
+    assert len(other["rounds"]) == len(base["rounds"])
+    for r, r2 in zip(base["rounds"], other["rounds"]):
+        assert r2.price == r.price * factor
+        assert (r2.demands, r2.total, r2.accepted) == (r.demands, r.total, r.accepted)
+    assert _numbers_blanked(other["diagnostics"]) == _numbers_blanked(base["diagnostics"])
+    return True
+
+
+def test_scaling_credits_step_and_initial_price_scales_every_round_exactly():
+    rng = random.Random(181)
+    sessions = [_desk_session(rng) for _ in range(10)]
+    for _ in range(100):
+        # a walk that ends, one refused at once, one cut at its round limit
+        game, knobs = _bargaining_session(rng)
+        sessions.append((game, dict(knobs, max_rounds=rng.choice((5, 50, 10**5)))))
+    checked = 0
+    for game, knobs in sessions:
+        for k in SCALINGS:
+            checked += _assert_bargaining_scales_exactly(game, knobs, k)
+    assert checked == len(sessions) * len(SCALINGS)
+
+
+@st.composite
+def _scalable_sessions(draw):
+    specs = [(draw(st.sampled_from((0.0, 1.0))) * draw(st.floats(1e-3, 1e3)),
+              draw(st.floats(1e-2, 10.0)))
+             for _ in range(draw(st.integers(1, 5)))]
+    if not any(c for c, _ in specs):
+        specs[0] = (1.0, specs[0][1])
+    credited = sum(d for c, d in specs if c)
+    game = make_game(draw(st.floats(0.05, 1.3)) * credited, specs)
+    initial = draw(st.none() | st.floats(1.0, 1.5).map(lambda f: f * game.market_top))
+    span = (initial or game.market_top) - 0.5 * game.saturation_floor
+    knobs = dict(initial_price=initial,
+                 step=span / draw(st.floats(2.0, 300.0)),
+                 tolerance=game.uploader_capacity * 10 ** draw(st.floats(-5.0, 0.3)),
+                 max_rounds=draw(st.integers(1, 2000)),
+                 max_refinements=draw(st.integers(0, 6)))
+    return game, knobs
+
+
+@given(_scalable_sessions(), st.sampled_from(SCALINGS))
+def test_property_scaling_credits_step_and_initial_price(session, k):
+    _assert_bargaining_scales_exactly(*session, k)

@@ -328,13 +328,14 @@ def test_at_capacity_and_run_scenario_reject_what_the_constructor_rejects(
 
 
 def test_at_capacity_rejects_a_capacity_sum_the_constructor_rejects():
-    game = make_game(1.0, [(1.0, 1e308), (1.0, 5e307)])
+    # each capacity is below the ~9e307 whose demand quotient PeerProfile refuses
+    game = make_game(1.0, [(1.0, 7e307), (1.0, 5e307)])
     with pytest.raises(ValidationError) as built:
-        GameInstance(5e307, game.peers)
+        GameInstance(7e307, game.peers)
     with pytest.raises(ValidationError) as copied:
-        game.at_capacity(5e307)
+        game.at_capacity(7e307)
     assert str(copied.value) == str(built.value)
-    assert "total capacity 1.5e+308 is not finite" in str(built.value)
+    assert "total capacity 1.2e+308 is not finite" in str(built.value)
 
 
 def test_at_capacity_equals_and_hashes_as_a_built_game(example4_game):
