@@ -28,8 +28,6 @@ from .model import (
 from .oracle import GridSpec, grid_search_price
 from .protocol import (
     BargainConfig,
-    Message,
-    MessageKind,
     ProtocolTrace,
     TraceRound,
     replay,
@@ -65,8 +63,6 @@ __all__ = [
     "GridSpec",
     "Ledger",
     "LedgerEntry",
-    "Message",
-    "MessageKind",
     "OracleError",
     "PeerProfile",
     "ProtocolAbort",

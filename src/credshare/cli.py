@@ -185,11 +185,12 @@ def build_parser() -> _Parser:
 
     p_bargain = sub.add_parser("bargain", help="run the iterative pricing scheme")
     p_bargain.add_argument("instance", help="instance JSON file")
-    p_bargain.add_argument("--step", type=float, default=0.01)
-    p_bargain.add_argument("--epsilon", type=float, default=0.001)
-    p_bargain.add_argument("--initial-price", type=float, default=None)
-    p_bargain.add_argument("--max-rounds", type=int, default=100_000)
-    p_bargain.add_argument("--max-refinements", type=int, default=6)
+    knobs = BargainConfig()
+    p_bargain.add_argument("--step", type=float, default=knobs.step)
+    p_bargain.add_argument("--epsilon", type=float, default=knobs.tolerance)
+    p_bargain.add_argument("--initial-price", type=float, default=knobs.initial_price)
+    p_bargain.add_argument("--max-rounds", type=int, default=knobs.max_rounds)
+    p_bargain.add_argument("--max-refinements", type=int, default=knobs.max_refinements)
     p_bargain.add_argument("--seed", type=int, default=0,
                            help="ignored: the walk is deterministic (accepted "
                                 "so that existing command lines still run)")

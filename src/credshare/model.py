@@ -34,7 +34,7 @@ from .errors import ValidationError
 
 LN2 = math.log(2.0)
 
-# account and actor name of the uploader; no downloader may take it
+# ledger account of the uploader; no downloader may take it
 UPLOADER_ID = "uploader"
 
 # per-peer branch codes inside a demand segment

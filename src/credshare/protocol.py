@@ -1,12 +1,9 @@
-"""Message-passing realizations of the pricing game.
+"""Two realizations of the pricing game as an exchange between the uploader
+and n downloaders:
 
-Two schemes between the uploader and n downloaders:
-
-* direct: one round of messages. Each downloader requests with its
-  (credits, capacity); the uploader prices the game whose peers sent those
-  requests with solve(), broadcasts the price, checks each demand reply
-  against that game's demand at the price, grants the demands, and
-  streams. Its equilibrium is solve() of the game.
+* direct: one round. The uploader prices the game with solve(), posts the
+  price, and checks each downloader's demand reply against that game's
+  demand at the price. Its equilibrium is solve() of the game.
 * bargaining: the uploader starts above every cutoff price and walks the
   price down a fixed step per round until total demand meets its capacity,
   accepting the first crossing inside the tolerance band. A crossing that
@@ -22,45 +19,19 @@ equilibrium. Each round's demands are listed and totalled in the game's
 priority order. A bargaining round that overshot is kept with
 accepted=False: it is the refinement, and the step it overshot with is the
 configured step divided by ten once for each rejected round before it.
-Both runs are deterministic. The direct scheme also logs its messages,
-each sender numbering its own, every batch in send order (the game's
-listing order); its REQUEST stage and a misreported reply appear nowhere
-else. A bargaining trace logs no messages: its rounds hold every price
-posted and every demand drawn.
+Both runs are deterministic.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, List, Mapping, Optional, Tuple
 
 from .errors import ConvergenceError, ProtocolAbort, ValidationError
-from .model import (UPLOADER_ID, Equilibrium, GameInstance, _require_finite,
-                    aggregate_demand, demands_at)
+from .model import (Equilibrium, GameInstance, _require_finite, aggregate_demand,
+                    demands_at)
 # classify_region is not called here: perfbench/tracing.py wraps it as an attribute
 from .solver import classify_region, equilibrium_at, solve  # noqa: F401
-
-
-class MessageKind(Enum):
-    REQUEST = "request"            # downloader -> uploader: credits, capacity
-    PRICE = "price"                # uploader -> downloader: posted price
-    DEMAND = "demand"              # downloader -> uploader: purchase at price
-    GRANT = "grant"                # uploader -> downloader: granted bandwidth
-    STREAM_START = "stream_start"  # uploader -> downloader: session begins
-
-
-@dataclass(frozen=True)
-class Message:
-    kind: MessageKind
-    sender: str
-    receiver: str
-    seq: int
-    price: Optional[float] = None
-    bandwidth: Optional[float] = None
-    credits: Optional[float] = None
-    capacity: Optional[float] = None
-    round_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -111,7 +82,6 @@ class TraceRound:
 class ProtocolTrace:
     protocol: str  # "direct" or "bargaining"
     rounds: List[TraceRound] = field(default_factory=list)  # round k is rounds[k - 1]
-    messages: List[Message] = field(default_factory=list)
     diagnostics: List[str] = field(default_factory=list)
     equilibrium: Optional[Equilibrium] = None
     config: Optional[BargainConfig] = None
@@ -130,74 +100,33 @@ class ProtocolTrace:
         return csv_text(("round", "price", "peer_id", "demand", "total_demand"), rows)
 
 
-class _Session:
-    """The direct scheme's message log between the uploader and a game's
-    downloaders. Each sender numbers its own messages from 1; the log holds
-    them in send order, every batch in the game's listing order.
-    """
-
-    def __init__(self, game: GameInstance, log: List[Message]):
-        self._log = log
-        self._ids = [p.id for p in game.peers]
-        self._seq = dict.fromkeys([UPLOADER_ID, *self._ids], 0)
-
-    def send(self, kind, sender, receiver, **payload) -> Message:
-        self._seq[sender] += 1
-        message = Message(kind=kind, sender=sender, receiver=receiver,
-                          seq=self._seq[sender], **payload)
-        self._log.append(message)
-        return message
-
-    def broadcast(self, kind, bandwidths=None, **payload):
-        """One message from the uploader to each downloader; `bandwidths`,
-        keyed by peer id, gives each its own bandwidth field."""
-        for pid in self._ids:
-            self.send(kind, UPLOADER_ID, pid, **payload,
-                      bandwidth=None if bandwidths is None else bandwidths[pid])
-
-
 def run_direct(game: GameInstance,
                misreport: Optional[Mapping[str, Callable[[float], float]]] = None,
                ) -> Tuple[Equilibrium, ProtocolTrace]:
-    """One-round scheme: collect requests, price the game, broadcast, grant.
+    """One-round scheme: price the game, post the price, check the replies.
 
-    The uploader prices `game`, the game whose peers sent the requests, so
-    every honest demand reply is that game's demand at the posted price.
-    Downloaders reply honestly unless `misreport` maps their id to a hook
-    that corrupts the demand they send. Raises ProtocolAbort when a demand
-    reply differs from the game's demand for its sender (misreporting
-    downloader; with several, the first in the game's listing order), or
+    The uploader prices `game` with solve(), so every honest demand reply
+    is that game's demand at the posted price. Downloaders reply honestly
+    unless `misreport` maps their id to a hook that corrupts the demand they
+    send. The replies are checked in the game's listing order, and the
+    first that differs from its sender's demand raises ProtocolAbort; the
+    hooks of later downloaders are not called. ProtocolAbort is raised too
     when the equilibrium price draws no demand at all.
     """
     trace = ProtocolTrace(protocol="direct")
-    session = _Session(game, trace.messages)
     misreport = misreport or {}
 
-    # stage 1: each downloader requests with its (credits, capacity)
-    for p in game.peers:
-        session.send(MessageKind.REQUEST, p.id, UPLOADER_ID,
-                     credits=p.credits, capacity=p.capacity)
-
-    # stage 2: the uploader prices the requesting peers' game; the trace
-    # lists the solved demands in priority order
+    # the trace lists the solved demands in priority order
     eq = solve(game)
     demands = {p.id: eq.allocation[p.id] for p in game.sorted_by_priority()}
     total = eq.total_allocation
 
-    # stage 3: the price to every downloader, then every demand reply; the
-    # uploader checks each against the game's demand
-    def reply(pid):
-        hook = misreport.get(pid)
-        return demands[pid] if hook is None else hook(demands[pid])
-
-    session.broadcast(MessageKind.PRICE, price=eq.price, round_index=1)
-    replies = [session.send(MessageKind.DEMAND, p.id, UPLOADER_ID, price=eq.price,
-                            round_index=1, bandwidth=reply(p.id))
-               for p in game.peers]
-    for m in replies:
-        expected = demands[m.sender]
-        if m.bandwidth != expected:
-            diag = (f"demand reply from {m.sender} is {m.bandwidth!r}, "
+    for p in game.peers:
+        expected = demands[p.id]
+        hook = misreport.get(p.id)
+        reply = expected if hook is None else hook(expected)
+        if reply != expected:
+            diag = (f"demand reply from {p.id} is {reply!r}, "
                     f"expected {expected!r} at price {eq.price!r}")
             trace.diagnostics.append(diag)
             raise ProtocolAbort(diag, trace)
@@ -208,10 +137,6 @@ def run_direct(game: GameInstance,
         diag = "no demand at the equilibrium price; nothing to stream"
         trace.diagnostics.append(diag)
         raise ProtocolAbort(diag, trace)
-
-    # stage 4: grants, then streaming
-    session.broadcast(MessageKind.GRANT, demands)
-    session.broadcast(MessageKind.STREAM_START)
 
     trace.equilibrium = eq
     return eq, trace

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import model
 from .errors import ValidationError
 from .formatting import NUMBER
 from .model import (UPLOADER_ID, Equilibrium, GameInstance, PeerProfile,
@@ -54,14 +55,19 @@ class ScenarioEvent:
     duration: float = 1.0                # settle; recorded, not scaled
 
     def __post_init__(self):
+        if not isinstance(self.kind, EventKind):
+            raise ValidationError(f"event kind must be an EventKind, got {self.kind!r}")
         object.__setattr__(self, "time", _require_finite("event time", self.time))
         object.__setattr__(self, "duration",
                            _require_finite("settle duration", self.duration))
         if self.time < 0:
             raise ValidationError(f"event time must be >= 0, got {self.time}")
         if self.kind is EventKind.JOIN:
-            if self.peer is None:
-                raise ValidationError("join event requires a peer profile")
+            # model's class, not this module's PeerProfile name, which a
+            # tracer may replace to count the profiles run_scenario builds
+            if not isinstance(self.peer, model.PeerProfile):
+                raise ValidationError(
+                    f"join event requires a peer profile, got {self.peer!r}")
         elif self.kind is EventKind.LEAVE:
             if not self.peer_id:
                 raise ValidationError("leave event requires a peer id")
@@ -137,11 +143,20 @@ _BALANCE_ROW = f"balance,,,%s,{NUMBER}"
 
 @dataclass(frozen=True)
 class Epoch:
+    """One span of the timeline under one equilibrium.
+
+    Its roster, peer_ids, is read off the equilibrium's allocation, in the
+    game's listing order; it is () while no peers are present.
+    """
+
     start: float
     end: float
     equilibrium: Optional[Equilibrium]  # None when no peers are present
-    peer_ids: tuple
     game: Optional[GameInstance] = None  # the instance the epoch was solved from
+
+    @property
+    def peer_ids(self) -> tuple:
+        return () if self.equilibrium is None else tuple(self.equilibrium.allocation)
 
 
 @dataclass(frozen=True)
@@ -174,7 +189,7 @@ class TimelineRecord:
             allocation, utilities = eq.allocation.amounts, eq.utilities
             rows += [_EPOCH_ROW % (head, peer_id, allocation[peer_id] or 0.0,
                                    utilities[peer_id] or 0.0, tail)
-                     for peer_id in sorted(ep.peer_ids)]
+                     for peer_id in sorted(allocation)]
         header = ["epoch_start", "epoch_end", "price", "peer_id",
                   "allocation", "utility"]
         if oracle_check:
@@ -235,14 +250,13 @@ def run_scenario(uploader_capacity: float,
     open_start: Optional[float] = None
     open_eq: Optional[Equilibrium] = None
     open_game: Optional[GameInstance] = None
-    open_ids: tuple = ()
 
     def close_epoch(end_time: float):
         nonlocal open_start
         if open_start is None:
             return
         if end_time > open_start:
-            epochs.append(Epoch(open_start, end_time, open_eq, open_ids, open_game))
+            epochs.append(Epoch(open_start, end_time, open_eq, open_game))
         open_start = None
 
     def resolve(joiner: Optional[str]):
@@ -284,7 +298,6 @@ def run_scenario(uploader_capacity: float,
             del present[ev.peer_id]
         open_start = ev.time
         open_eq, open_game = resolve(joiner)
-        open_ids = tuple(present)
 
     close_epoch(INFINITY)
     return TimelineRecord(tuple(epochs)), ledger

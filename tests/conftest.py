@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -12,6 +14,16 @@ settings.load_profile("credshare")
 
 EXAMPLE4_CREDITS = (400.0, 300.0, 200.0, 100.0)
 EXAMPLE4_CAPACITIES = (2.0, 1.5, 1.0, 0.5)
+
+
+def ldexp_normal(x, k):
+    """x * 2**k, which is exact in the normal range; None when a nonzero x
+    would leave that range. The scaling-relation tests skip such draws."""
+    try:
+        y = math.ldexp(x, k)
+    except OverflowError:
+        return None
+    return y if x == 0.0 or abs(y) >= sys.float_info.min else None
 
 
 def make_game(uploader_capacity, specs):

@@ -195,6 +195,21 @@ def test_bargain_trace(instance_file, capsys):
     assert abs(float(summary[1]) - 1000.0 / (7.0 * LN2)) < 0.01
 
 
+def test_bargain_without_flags_runs_the_default_config(instance_file, monkeypatch):
+    import credshare.cli
+    from credshare.protocol import BargainConfig, run_bargaining
+
+    configs = []
+
+    def recording(game, config):
+        configs.append(config)
+        return run_bargaining(game, config)
+
+    monkeypatch.setattr(credshare.cli, "run_bargaining", recording)
+    assert main(["bargain", instance_file]) == 0
+    assert configs == [BargainConfig()]
+
+
 def test_bargain_coarse_step_reports_refinement(instance_file, capsys):
     assert main(["bargain", instance_file, "--step", "50"]) == 0
     captured = capsys.readouterr()

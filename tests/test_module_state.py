@@ -1,7 +1,8 @@
 """Guards over every module of the package: none keeps state between
 calls, none imports a name it never uses, none totals floats with the
-builtin sum, none draws random numbers, and none reaches an instance's
-attributes through vars() or __dict__.
+builtin sum, none draws random numbers, none reaches an instance's
+attributes through vars() or __dict__, and every name the package
+exports exists.
 
 A memo behind a `global` statement makes a call's cost (and, if the memo is
 ever wrong, its result) depend on which calls ran before it. State that
@@ -83,8 +84,7 @@ def test_no_module_calls_the_builtin_sum():
 
 
 def test_no_module_imports_random():
-    # every result is a function of its inputs: the protocols deliver
-    # messages in send order, and nothing else draws
+    # every result is a function of its inputs: nothing draws
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) >= 10
     found = []
@@ -116,3 +116,11 @@ def test_no_module_reaches_attributes_through_vars_or_dict():
                          and node.func.id == "vars")
                      or (isinstance(node, ast.Attribute) and node.attr == "__dict__"))
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    assert len(set(credshare.__all__)) == len(credshare.__all__)
+    assert [name for name in credshare.__all__ if not hasattr(credshare, name)] == []
+    namespace = {}
+    exec("from credshare import *", namespace)
+    assert set(credshare.__all__) <= set(namespace)

@@ -1,9 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+import credshare.experiments as experiments
 from credshare import (
     LN2,
+    ConvergenceError,
     GameInstance,
     GridSpec,
     OracleError,
@@ -17,8 +21,9 @@ from credshare.oracle import demand_on_grid, revenue_agreement
 
 import numpy as np
 
-from conftest import make_game, random_oversubscribed
+from conftest import ldexp_normal, make_game, random_oversubscribed
 from reference import deviation_probe
+from test_solver_scan import _plateau_prone_game
 
 
 def test_grid_spec_defaults(example4_game):
@@ -274,3 +279,114 @@ def test_oracle_equivalence_below_saturation_regime():
             + 1e-9 * (1 + abs(eq.revenue))
         )
         assert abs(eq.price - oracle_price) <= spec.resolution + 1e-9 * eq.price
+
+
+# --- scaling a capacity sweep by a power of two ------------------------------
+
+SCALINGS = (-8, -3, 1, 5, 20)
+
+
+def _scaled_game(game, k):
+    """The game with every credit, capacity and u_k times 2**k, or None when
+    a scaled input, the sweep's top capacity included, leaves the normal
+    range."""
+    numbers = [game.uploader_capacity, game.total_capacity]
+    for p in game.peers:
+        numbers += [p.credits, p.capacity]
+    if any(ldexp_normal(x, k) is None for x in numbers):
+        return None
+    return GameInstance(ldexp_normal(game.uploader_capacity, k),
+                        [PeerProfile(p.id, ldexp_normal(p.credits, k),
+                                     ldexp_normal(p.capacity, k))
+                         for p in game.peers])
+
+
+def _recorded_sweep(game, steps, oracle):
+    """Each capacity sweep row's capacity and equilibrium, plus the oracle's
+    price, revenue and flag with oracle set; or the type of the error the
+    sweep raised."""
+    rows = []
+    solve_row, check_row = experiments.solve, experiments.cross_check
+
+    def solving(inst):
+        eq = solve_row(inst)
+        rows.append([inst.uploader_capacity, eq])
+        return eq
+
+    def checking(inst, revenue, grids=None):
+        found = check_row(inst, revenue, grids)
+        rows[-1].append(found)
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "solve", solving)
+        patch.setattr(experiments, "cross_check", checking)
+        try:
+            experiments.capacity_sweep(game, steps=steps, oracle=oracle)
+        except (ConvergenceError, OracleError, ValidationError) as error:
+            return type(error)
+    return rows
+
+
+def _assert_sweep_scales_exactly(game, k, steps, oracle):
+    """Every capacity, revenue, allocation and utility times 2**k exactly;
+    the same price bits and region; with the oracle, the same oracle price
+    and flag and its revenue times 2**k. Returns the rows checked."""
+    scaled = _scaled_game(game, k)
+    if scaled is None:
+        return 0
+    base, other = _recorded_sweep(game, steps, oracle), _recorded_sweep(scaled, steps, oracle)
+    if isinstance(base, type):
+        assert other is base
+        return 0
+    factor = math.ldexp(1.0, k)
+    assert len(other) == len(base) == steps
+    for (u_k, eq, *found), (u_k2, eq2, *found2) in zip(base, other):
+        assert u_k2 == u_k * factor
+        assert eq2.price.hex() == eq.price.hex() and eq2.region is eq.region
+        assert eq2.revenue == eq.revenue * factor
+        assert dict(eq2.allocation.items()) == {
+            pid: x * factor for pid, x in eq.allocation.items()}
+        assert eq2.utilities == {pid: u * factor for pid, u in eq.utilities.items()}
+        if oracle:
+            (price, revenue, agrees), (price2, revenue2, agrees2) = found[0], found2[0]
+            assert price2.hex() == price.hex()
+            assert revenue2 == revenue * factor
+            assert agrees2 == agrees
+    return len(base)
+
+
+def _sweep_game(rng, n):
+    """An example3-like game, as the sweep-oracle benchmark draws them."""
+    return make_game(1.0, [(rng.uniform(50.0, 300.0), rng.uniform(100.0, 200.0))
+                           for _ in range(n)])
+
+
+def test_scaling_a_game_scales_its_capacity_sweep_exactly():
+    rng = random.Random(183)
+    games = [(random_oversubscribed(rng, 8), False) for _ in range(12)]
+    games += [(_plateau_prone_game(rng), False) for _ in range(12)]
+    games += [(_sweep_game(rng, n), True) for n in (4, 12, 32, 4, 12, 32)]
+    rows = oracle_rows = 0
+    for game, oracle in games:
+        for k in SCALINGS:
+            checked = _assert_sweep_scales_exactly(game, k, 120, oracle)
+            rows += checked
+            oracle_rows += checked if oracle else 0
+    assert (rows, oracle_rows) == (len(games) * len(SCALINGS) * 120,
+                                   6 * len(SCALINGS) * 120)
+
+
+@st.composite
+def _scalable_games(draw):
+    specs = [(draw(st.sampled_from((0.0, 1.0))) * draw(st.floats(1e-3, 1e3)),
+              draw(st.floats(1e-2, 10.0)))
+             for _ in range(draw(st.integers(1, 5)))]
+    if not any(c for c, _ in specs):
+        specs[0] = (1.0, specs[0][1])
+    return make_game(draw(st.floats(0.05, 1.3)) * sum(d for _, d in specs), specs)
+
+
+@given(_scalable_games(), st.sampled_from(SCALINGS), st.integers(1, 30), st.booleans())
+def test_property_scaling_a_game_scales_its_capacity_sweep(game, k, steps, oracle):
+    _assert_sweep_scales_exactly(game, k, steps, oracle)

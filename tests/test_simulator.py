@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import given
@@ -25,7 +24,7 @@ from credshare import (
 from credshare.experiments import example_scenario
 from credshare.simulator import validate_scenario
 
-from conftest import make_game
+from conftest import ldexp_normal, make_game
 from reference import churn_check
 from test_solver_scan import _bits
 
@@ -124,6 +123,19 @@ def test_out_of_order_events_rejected():
     ]
     with pytest.raises(ValidationError):
         run_scenario(2.0, events)
+
+
+def test_an_event_kind_that_is_not_an_event_kind_is_refused():
+    p = PeerProfile("peer1", 400.0, 2.0)
+    with pytest.raises(ValidationError, match="got 'join'"):
+        run_scenario(1.0, [ScenarioEvent(1.0, "join", peer=p)])
+
+
+@pytest.mark.parametrize("peer", [None, "peer1",
+                                  {"id": "peer1", "credits": 400.0, "capacity": 2.0}])
+def test_a_join_without_a_peer_profile_is_refused(peer):
+    with pytest.raises(ValidationError, match="requires a peer profile, got "):
+        run_scenario(1.0, [ScenarioEvent(1.0, EventKind.JOIN, peer=peer)])
 
 
 # --- transactions ------------------------------------------------------------
@@ -309,14 +321,14 @@ def _reference_run(uploader_capacity, events):
     validate_scenario(events)
     ledger = Ledger()
     epochs, present = [], {}
-    open_start, open_eq, open_game, open_ids = None, None, None, ()
+    open_start, open_eq, open_game = None, None, None
     for ev in events:
         if ev.kind is EventKind.SETTLE:
             if open_eq is not None:
                 apply_transaction(ledger, open_eq, ev.time)
             continue
         if open_start is not None and ev.time > open_start:
-            epochs.append(Epoch(open_start, ev.time, open_eq, open_ids, open_game))
+            epochs.append(Epoch(open_start, ev.time, open_eq, open_game))
         if ev.kind is EventKind.JOIN:
             ledger.register(ev.peer.id, ev.peer.credits)
             present[ev.peer.id] = ev.peer
@@ -328,9 +340,8 @@ def _reference_run(uploader_capacity, events):
                 PeerProfile(p.id, ledger.balance(p.id), p.capacity)
                 for p in present.values()])
             open_eq = solve(open_game)
-        open_ids = tuple(present)
     if open_start is not None:
-        epochs.append(Epoch(open_start, math.inf, open_eq, open_ids, open_game))
+        epochs.append(Epoch(open_start, math.inf, open_eq, open_game))
     return TimelineRecord(tuple(epochs)), ledger
 
 
@@ -488,11 +499,8 @@ def _scaled(events, k):
     scaled = []
     for ev in events:
         if ev.kind is EventKind.JOIN:
-            try:
-                credits = math.ldexp(ev.peer.credits, k)
-            except OverflowError:
-                return None
-            if ev.peer.credits and credits < sys.float_info.min:
+            credits = ldexp_normal(ev.peer.credits, k)
+            if credits is None:
                 return None
             ev = ScenarioEvent(ev.time, ev.kind,
                                peer=PeerProfile(ev.peer.id, credits, ev.peer.capacity))
